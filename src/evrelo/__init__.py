@@ -41,7 +41,6 @@ from .io import load_instance, load_solution, save_instance, save_solution
 from .model import (
     EPS,
     Instance,
-    Mode,
     Parameters,
     Request,
     RequestKind,
@@ -49,7 +48,6 @@ from .model import (
     RouteSchedule,
     ScheduledVisit,
     Solution,
-    count_served,
     evaluate_profit,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "InstanceTooLarge",
     "InvalidInstance",
     "InvariantViolation",
-    "Mode",
     "OracleLimits",
     "Parameters",
     "ParseError",
@@ -82,7 +79,6 @@ __all__ = [
     "ValidationResult",
     "Violation",
     "WrongKind",
-    "count_served",
     "evaluate_profit",
     "generate",
     "load_instance",

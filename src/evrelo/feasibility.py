@@ -37,7 +37,6 @@ __all__ = [
     "opening_state",
     "pickup_feasible",
     "replay_route",
-    "route_close_check",
     "route_start_for_pickup",
     "validate_route",
     "validate_solution",
@@ -157,7 +156,7 @@ def after_delivery(state, delivery, instance):
 # Per-request feasibility screens used while a route is under construction.
 # ---------------------------------------------------------------------------
 
-def pickup_feasible(state, pickup, candidate_deliveries, instance, strict_lookahead=False):
+def pickup_feasible(state, pickup, candidate_deliveries, instance):
     """Can the worker take on ``pickup`` next?
 
     Two checks: the pickup is reached before its window closes, and there
@@ -166,10 +165,6 @@ def pickup_feasible(state, pickup, candidate_deliveries, instance, strict_lookah
     must hold the unserved deliveries this pickup could be paired with; when
     it is empty the pickup would strand the worker with an EV, so the answer
     is no.
-
-    ``strict_lookahead`` prices the EV leg of the lookahead at bike speed
-    instead of driving speed; it exists only to compare against that stricter
-    variant of the screen and is never the default.
     """
     arrival = arrival_at_pickup(state, pickup, instance)
     if arrival > pickup.tw_max + EPS:
@@ -177,9 +172,8 @@ def pickup_feasible(state, pickup, candidate_deliveries, instance, strict_lookah
     if not candidate_deliveries:
         return False
     par = instance.parameters
-    speed = par.bike_speed if strict_lookahead else par.ev_speed
     best_tail = min(
-        instance.distance(pickup.location, d.location) * 60.0 / speed
+        instance.ev_minutes(pickup.location, d.location)
         + instance.bike_minutes(d.location, 0)
         for d in candidate_deliveries
     )
@@ -211,25 +205,6 @@ def delivery_feasible(state, delivery, instance):
         return False
     recharge_slack = (delivery.tw_max - arrival) / par.recharge_time
     return remaining + recharge_slack >= delivery.battery - EPS
-
-
-def route_close_check(state, request, instance, candidate_deliveries=None):
-    """Duty-time part of the construction screens in isolation: would serving
-    ``request`` next still allow the worker to reach the depot in time?"""
-    par = instance.parameters
-    if request.kind is RequestKind.PICKUP:
-        if not candidate_deliveries:
-            return False
-        arrival = arrival_at_pickup(state, request, instance)
-        best_tail = min(
-            instance.ev_minutes(request.location, d.location) + instance.bike_minutes(d.location, 0)
-            for d in candidate_deliveries
-        )
-        finish = max(arrival, request.tw_min) + par.load_time + best_tail + par.park_time
-    else:
-        arrival = arrival_at_delivery(state, request, instance)
-        finish = max(arrival, request.tw_min) + par.park_time + instance.bike_minutes(request.location, 0)
-    return finish - state.start_time <= par.duty_time + EPS
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +306,7 @@ def _structural_check(route, instance):
     return problems, reqs
 
 
-def validate_route(route, instance, strict_lookahead=False):
+def validate_route(route, instance):
     """Replay a stored route and report every violated condition.
 
     The replay recomputes arrival, waiting and charge values from the start
@@ -344,9 +319,7 @@ def validate_route(route, instance, strict_lookahead=False):
     The forward-looking construction screens (enough duty time left assuming
     the cheapest continuation) are deliberately not re-checked here: a
     finished route proves or disproves the duty bound by itself, and the
-    cheapest-continuation estimate can be beaten by fast EV legs.  With
-    ``strict_lookahead`` the bike-speed variant of the pickup screen is
-    evaluated against the pair actually served, for diagnostic comparison.
+    cheapest-continuation estimate can be beaten by fast EV legs.
     """
     problems, reqs = _structural_check(route, instance)
     if reqs is None:
@@ -408,20 +381,6 @@ def validate_route(route, instance, strict_lookahead=False):
                 )
             )
 
-    if strict_lookahead:
-        for pair_idx in range(len(reqs) // 2):
-            pickup = reqs[2 * pair_idx]
-            delivery = reqs[2 * pair_idx + 1]
-            service = max(replayed.visits[2 * pair_idx].arrival, pickup.tw_min)
-            tail = (
-                instance.distance(pickup.location, delivery.location) * 60.0 / par.bike_speed
-                + instance.bike_minutes(delivery.location, 0)
-            )
-            if service + par.load_time + tail + par.park_time - route.start_time > par.duty_time + EPS:
-                problems.append(
-                    Violation("strict_lookahead", "bike-priced continuation exceeds duty", visit=2 * pair_idx)
-                )
-
     if abs(route.end_time - replayed.end_time) > EPS:
         problems.append(
             Violation("end_time", f"stored {route.end_time} vs replay {replayed.end_time}")
@@ -436,13 +395,13 @@ def validate_route(route, instance, strict_lookahead=False):
     return ValidationResult(tuple(problems))
 
 
-def validate_solution(solution, instance, strict_lookahead=False):
+def validate_solution(solution, instance):
     """Validate every route plus the solution-level bookkeeping."""
     problems = []
     par = instance.parameters
     seen = {}
     for ridx, route in enumerate(solution.routes):
-        result = validate_route(route, instance, strict_lookahead=strict_lookahead)
+        result = validate_route(route, instance)
         for v in result.violations:
             problems.append(Violation(v.code, v.detail, route=ridx, visit=v.visit))
         for visit in route.visits:

@@ -483,6 +483,61 @@ def run_ch(instance, objective="profit", drop_unprofitable=None):
     return assemble_solution(routes, instance)
 
 
+_TRIE_NODE_CAP = 1 << 16
+
+
+class _DrawTrie:
+    """The draw sequences of the constructions one ``run_rh`` call built.
+
+    ``_construct`` is a pure function of the indices the picker draws, so a
+    sequence recorded here to its end names a construction already built.
+    Node 0 is the empty sequence; ``counts[node]`` is the number of
+    candidates offered at the node's draw, 0 where the construction
+    finished; the child reached by ``draw`` is ``children[node * width +
+    draw]``.  At most ``_TRIE_NODE_CAP`` nodes are kept: a long construction
+    makes hundreds of draws, so an unbounded trie grows by tens of kilobytes
+    per iteration.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.counts = []
+        self.children = {}
+
+    def walk(self, rng):
+        """Draw from ``rng`` along the recorded sequences, exactly as the
+        construction would.  Returns (built, path): ``built`` is True when
+        the draws end on a finished construction; ``path`` lists the
+        (candidate count, draw) pairs made, a prefix to replay otherwise."""
+        path = []
+        node = 0 if self.counts else None
+        while node is not None:
+            count = self.counts[node]
+            if not count:
+                return True, path
+            draw = rng.randrange(count)
+            path.append((count, draw))
+            node = self.children.get(node * self.width + draw)
+        return False, path
+
+    def record(self, path):
+        """Add the finished construction that made the draws in ``path``,
+        as far as the node cap allows."""
+        counts = [count for count, _ in path] + [0]
+        if not self.counts:
+            self.counts.append(counts[0])
+        node = 0
+        for step, (_, draw) in enumerate(path):
+            key = node * self.width + draw
+            child = self.children.get(key)
+            if child is None:
+                if len(self.counts) >= _TRIE_NODE_CAP:
+                    return
+                child = self.children[key] = len(self.counts)
+                self.counts.append(counts[step + 1])
+            node = child
+
+
 def run_rh(instance, config=None):
     """Randomized best-of-many construction.
 
@@ -492,21 +547,37 @@ def run_rh(instance, config=None):
     best solution under the configured objective wins, earlier iterations
     keeping ties.  Fully deterministic for a given seed: iteration i draws
     from its own generator seeded from (seed, i).
+
+    An iteration whose draws repeat an earlier iteration's construction is
+    skipped without building it: under the earliest-wins tie rule a repeat
+    can never win, so the result is the same as building every iteration.
+    The draw sequences are kept in a trie bounded to ``_TRIE_NODE_CAP``
+    nodes; once it is full, only repeats of what it holds are skipped.
     """
     config = config or RhConfig()
     retained, _ = preprocess(instance)
     partners = compatible_partners(instance)
     drop = config.objective == "profit"
     limit = instance.parameters.worker_count
+    built = _DrawTrie(width=max(len(retained), 1))
     best = None
     best_value = None
     for i in range(config.iterations):
         rng = random.Random(config.seed * 1_000_003 + i)
+        repeat, path = built.walk(rng)
+        if repeat:
+            continue
+        replay = [draw for _, draw in reversed(path)]
 
         def pick(candidates, unserved, instance):
-            return candidates[rng.randrange(len(candidates))]
+            if replay:
+                return candidates[replay.pop()]
+            draw = rng.randrange(len(candidates))
+            path.append((len(candidates), draw))
+            return candidates[draw]
 
         routes, _ = _construct(instance, retained, partners, pick, limit)
+        built.record(path)
         if drop:
             routes = _drop_unprofitable(routes, instance)
         solution = assemble_solution(routes, instance)

@@ -9,7 +9,10 @@ every violated invariant at once, not just the first.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvariantViolation, ParseError
 from .model import (
@@ -114,9 +117,29 @@ def save_instance(instance, path):
     _write_json(instance_to_dict(instance), path)
 
 
+def _triangle_violations(distances):
+    """Messages for every (i, j, k) with d[i][k] > d[i][j] + d[j][k] + EPS,
+    in i, j, k order; one n-by-n slab per ``i`` keeps memory O(n^2)."""
+    d = np.array(distances, dtype=float)
+    bad = []
+    for i in range(len(d)):
+        # Row j, column k of the slab: d[i][j] + d[j][k], summed in the
+        # same order as the scalar expression.
+        broken = d[i][None, :] > (d[i][:, None] + d) + EPS
+        for j, k in np.argwhere(broken).tolist():
+            bad.append(
+                f"triangle inequality broken: distances[{i}][{k}] > "
+                f"distances[{i}][{j}] + distances[{j}][{k}]"
+            )
+    return bad
+
+
 def _collect_instance_violations(params, requests, distances):
     """Every broken semantic invariant of the raw document, as messages."""
     bad = []
+    for name in _PARAMETER_FIELDS:
+        if not math.isfinite(params[name]):
+            bad.append(f"parameters.{name} must be finite, got {params[name]}")
     for name in _PARAMETER_FIELDS[:3] + _PARAMETER_FIELDS[5:7]:
         if params[name] <= 0:
             bad.append(f"parameters.{name} must be strictly positive, got {params[name]}")
@@ -131,20 +154,19 @@ def _collect_instance_violations(params, requests, distances):
         if len(row) != n:
             bad.append(f"distances row {i} has {len(row)} entries, expected {n}")
     if all(len(row) == n for row in distances):
+        finite = True
         for i in range(n):
             if abs(distances[i][i]) > EPS:
                 bad.append(f"distances[{i}][{i}] must be zero")
             for j in range(n):
-                if distances[i][j] < 0:
+                if not math.isfinite(distances[i][j]):
+                    bad.append(f"distances[{i}][{j}] must be finite")
+                    finite = False
+                elif distances[i][j] < 0:
                     bad.append(f"distances[{i}][{j}] is negative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if distances[i][k] > distances[i][j] + distances[j][k] + EPS:
-                        bad.append(
-                            f"triangle inequality broken: distances[{i}][{k}] > "
-                            f"distances[{i}][{j}] + distances[{j}][{k}]"
-                        )
+        # Only on finite entries: a NaN would fail every comparison.
+        if finite:
+            bad.extend(_triangle_violations(distances))
 
     seen = set()
     for r in requests:
@@ -152,6 +174,9 @@ def _collect_instance_violations(params, requests, distances):
         if r["id"] in seen:
             bad.append(f"{label}: duplicate id")
         seen.add(r["id"])
+        for name in ("tw_min", "tw_max", "battery", "revenue"):
+            if not math.isfinite(r[name]):
+                bad.append(f"{label}: {name} must be finite, got {r[name]}")
         if r["tw_min"] > r["tw_max"]:
             bad.append(f"{label}: tw_min {r['tw_min']} exceeds tw_max {r['tw_max']}")
         if not 0.0 <= r["battery"] <= 1.0:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -23,13 +24,6 @@ from .errors import IndexOutOfRange, UnknownRequest
 #: comparisons so that chained floating-point schedule propagation never flips
 #: a verdict on numerical noise.
 EPS = 1e-6
-
-
-class Mode(enum.Enum):
-    """How a worker moves between two locations."""
-
-    BIKE = "bike"
-    EV = "ev"
 
 
 class RequestKind(enum.Enum):
@@ -63,6 +57,11 @@ class Parameters:
     worker_cost: float = 60.0
 
     def __post_init__(self):
+        # A NaN fails every comparison, so it would pass each check below.
+        for name in ("duty_time", "ev_speed", "bike_speed", "park_time", "load_time",
+                     "full_range", "recharge_time", "worker_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("duty_time", "ev_speed", "bike_speed", "full_range", "recharge_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -95,6 +94,9 @@ class Request:
     revenue: float
 
     def __post_init__(self):
+        for name in ("tw_min", "tw_max", "battery", "revenue"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"request {self.id}: {name} must be finite")
         if self.tw_min > self.tw_max:
             raise ValueError(f"request {self.id}: tw_min exceeds tw_max")
         if not 0.0 <= self.battery <= 1.0:
@@ -193,15 +195,6 @@ class Instance:
     def ev_minutes(self, origin, destination):
         """Driving time between two matrix locations, minutes."""
         return self.distance(origin, destination) * 60.0 / self.parameters.ev_speed
-
-
-def travel_time(instance, origin, destination, mode):
-    """Travel minutes between two locations for the given movement mode."""
-    if mode is Mode.BIKE:
-        return instance.bike_minutes(origin, destination)
-    if mode is Mode.EV:
-        return instance.ev_minutes(origin, destination)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -312,11 +305,6 @@ def evaluate_profit(solution, instance):
             f"stored profit {solution.profit} disagrees with recomputed {profit}"
         )
     return profit
-
-
-def count_served(solution):
-    """Number of requests the solution serves."""
-    return len(solution.served)
 
 
 def empty_solution(instance, optimal=None):

@@ -19,7 +19,6 @@ from evrelo.feasibility import (
     opening_state,
     pickup_feasible,
     replay_route,
-    route_close_check,
     route_start_for_pickup,
     validate_route,
     validate_solution,
@@ -203,20 +202,6 @@ def test_delivery_feasible_requires_held_ev():
     inst = single_pair_reference()
     with pytest.raises(WrongKind):
         delivery_feasible(initial_state(0.0), inst.request(2), inst)
-
-
-def test_route_close_check_duty_boundary():
-    inst = single_pair_reference()
-    pickup, delivery = inst.request(1), inst.request(2)
-    state = opening_state(pickup, inst)
-    # serving the pair and returning takes exactly 144 minutes
-    exact = dataclasses.replace(inst, parameters=dataclasses.replace(
-        inst.parameters, duty_time=144.0))
-    short = dataclasses.replace(inst, parameters=dataclasses.replace(
-        inst.parameters, duty_time=143.99))
-    assert route_close_check(state, pickup, exact, candidate_deliveries=[delivery])
-    assert not route_close_check(state, pickup, short, candidate_deliveries=[delivery])
-    assert not route_close_check(state, pickup, exact, candidate_deliveries=[])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs
+from evrelo import insertion
 from evrelo.errors import GapOutOfRange
 from evrelo.feasibility import validate_route, validate_solution
+from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
     RhConfig,
+    _construct,
+    _drop_unprofitable,
     apply_insertion,
     best_insertion,
     compatible_partners,
@@ -25,7 +29,7 @@ from evrelo.insertion import (
     run_rh,
     time_extension,
 )
-from evrelo.model import Instance, Parameters, Request, RequestKind
+from evrelo.model import Instance, Parameters, Request, RequestKind, assemble_solution
 
 
 def _instance(requests, distances, **params):
@@ -397,6 +401,93 @@ def test_rh_value_never_degrades_with_more_iterations():
     few = run_rh(inst, RhConfig(iterations=1, seed=2, objective="requests"))
     many = run_rh(inst, RhConfig(iterations=16, seed=2, objective="requests"))
     assert len(many.served) >= len(few.served)
+
+
+def _rh_every_iteration(instance, config):
+    """(value, solution, draws) of each RH iteration, every construction built."""
+    retained, _ = preprocess(instance)
+    partners = compatible_partners(instance)
+    for i in range(config.iterations):
+        rng = random.Random(config.seed * 1_000_003 + i)
+        draws = []
+
+        def pick(candidates, unserved, instance):
+            draws.append(rng.randrange(len(candidates)))
+            return candidates[draws[-1]]
+
+        routes, _ = _construct(instance, retained, partners, pick,
+                               instance.parameters.worker_count)
+        if config.objective == "profit":
+            routes = _drop_unprofitable(routes, instance)
+        solution = assemble_solution(routes, instance)
+        value = solution.profit if config.objective == "profit" else len(solution.served)
+        yield value, solution, tuple(draws)
+
+
+def _rh_reference(instance, config):
+    """The plain best-of-many loop: the first iteration of the best value."""
+    best = None
+    for value, solution, _ in _rh_every_iteration(instance, config):
+        if best is None or value > best[0]:
+            best = (value, solution)
+    return best[1]
+
+
+# The small fleet and the amat_like instance find their best value in the
+# first iteration.  The one-worker synthetic instances find it after dozens
+# of iterations, most of them repeats of an earlier draw sequence; the
+# two-worker one makes 15-29 draws per construction and repeats none.
+RH_CONTRACT_FLEET = (
+    *small_instances(10, seed=0),
+    make_benchmark("amat_like", 2, seed=0)[1],
+    synthetic_instance(random.Random(28), n_pairs=3,
+                       params=Parameters(worker_count=1, duty_time=250.0)),
+    synthetic_instance(random.Random(61), n_pairs=3,
+                       params=Parameters(worker_count=1, duty_time=150.0)),
+    synthetic_instance(random.Random(44), params=Parameters(worker_count=2, duty_time=200.0)),
+)
+
+
+@pytest.mark.parametrize("node_cap", [None, 3])
+def test_rh_equals_building_every_iteration(node_cap, monkeypatch):
+    # A cap of 3 nodes fills the trie on the first construction of any
+    # instance that draws more than twice, so the full-trie path runs.
+    if node_cap is not None:
+        monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", node_cap)
+    for instance in RH_CONTRACT_FLEET:
+        for objective in ("profit", "requests"):
+            for seed in (0, 1):
+                config = RhConfig(iterations=200, seed=seed, objective=objective)
+                assert run_rh(instance, config) == _rh_reference(instance, config)
+
+
+def test_rh_earliest_of_tied_iterations_wins():
+    # One worker, duty time for one pair only: every construction serves
+    # exactly one of the two pairs, so all iterations tie on both objectives.
+    inst = _line(
+        [_pickup(1, 1, (0.0, 500.0)), _delivery(2, 2, (0.0, 500.0)),
+         _pickup(3, 3, (0.0, 500.0)), _delivery(4, 4, (0.0, 500.0))],
+        coords=[10.0, 11.0, -10.0, -11.0], duty_time=120.0, worker_count=1,
+    )
+    for objective in ("profit", "requests"):
+        config = RhConfig(iterations=20, seed=4, objective=objective)
+        runs = list(_rh_every_iteration(inst, config))
+        assert len({value for value, _, _ in runs}) == 1
+        assert len({solution.served for _, solution, _ in runs}) == 2
+        assert run_rh(inst, config) == runs[0][1]
+
+
+def test_rh_builds_each_draw_sequence_once(monkeypatch):
+    built = []
+    construct = insertion._construct
+    monkeypatch.setattr(insertion, "_construct",
+                        lambda *args: built.append(args) or construct(*args))
+    for instance in RH_CONTRACT_FLEET[-3:-1]:
+        config = RhConfig(iterations=200, seed=0, objective="profit")
+        sequences = {draws for _, _, draws in _rh_every_iteration(instance, config)}
+        built.clear()
+        run_rh(instance, config)
+        assert len(built) == len(sequences) < config.iterations / 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from evrelo.feasibility import validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import run_ch
 from evrelo.io import (
+    _collect_instance_violations,
     instance_to_dict,
     load_instance,
     load_solution,
@@ -178,6 +179,51 @@ def test_triangle_inequality_checked(tmp_path):
     with pytest.raises(InvariantViolation) as err:
         load_instance(path)
     assert any("triangle" in v for v in err.value.violations)
+
+
+def test_non_finite_numbers_rejected(tmp_path):
+    (inst,) = make_benchmark("vamat_like", 1, seed=0)
+    doc = instance_to_dict(inst)
+    doc["parameters"]["duty_time"] = float("nan")
+    doc["requests"][0]["tw_max"] = float("inf")
+    doc["distances"][1][2] = float("nan")
+    doc["distances"][2][1] = float("-inf")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN and Infinity tokens
+    with pytest.raises(InvariantViolation) as err:
+        load_instance(path)
+    assert err.value.violations == [
+        "parameters.duty_time must be finite, got nan",
+        "distances[1][2] must be finite",
+        "distances[2][1] must be finite",
+        f"request {doc['requests'][0]['id']}: tw_max must be finite, got inf",
+    ]
+
+
+def _triangle_reference(distances):
+    n = len(distances)
+    return [
+        f"triangle inequality broken: distances[{i}][{k}] > "
+        f"distances[{i}][{j}] + distances[{j}][{k}]"
+        for i in range(n) for j in range(n) for k in range(n)
+        if distances[i][k] > distances[i][j] + distances[j][k] + 1e-6
+    ]
+
+
+def test_triangle_messages_match_the_scalar_triple_loop():
+    rng = random.Random(3)
+    points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9)]
+    distances = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in points] for a in points]
+    # Stretch a few entries (and one only by less than the tolerance).
+    for i, k, factor in ((1, 4, 3.0), (4, 1, 3.0), (2, 7, 1.5), (6, 0, 2.0), (8, 3, 1.0 + 1e-9)):
+        distances[i][k] *= factor
+    params = {name: 1 for name in ("duty_time", "ev_speed", "bike_speed", "park_time",
+                                   "load_time", "full_range", "recharge_time",
+                                   "worker_count", "worker_cost")}
+    messages = [m for m in _collect_instance_violations(params, [], distances)
+                if m.startswith("triangle")]
+    assert len(messages) > 4
+    assert messages == _triangle_reference(distances)
 
 
 def test_location_outside_matrix_rejected(tmp_path):

@@ -11,7 +11,6 @@ from evrelo.errors import UnknownRequest
 from evrelo.model import (
     EPS,
     Instance,
-    Mode,
     Parameters,
     Request,
     RequestKind,
@@ -20,10 +19,8 @@ from evrelo.model import (
     ScheduledVisit,
     Solution,
     assemble_solution,
-    count_served,
     empty_solution,
     evaluate_profit,
-    travel_time,
 )
 
 
@@ -58,8 +55,8 @@ def two_station_instance(params=None, revenue=10.0):
 
 def test_travel_time_zero_distance_any_mode():
     inst = two_station_instance()
-    assert travel_time(inst, 1, 1, Mode.BIKE) == 0.0
-    assert travel_time(inst, 1, 1, Mode.EV) == 0.0
+    assert inst.bike_minutes(1, 1) == 0.0
+    assert inst.ev_minutes(1, 1) == 0.0
 
 
 def test_travel_time_bike_five_km_at_fifteen():
@@ -68,7 +65,7 @@ def test_travel_time_bike_five_km_at_fifteen():
         ((0.0, 5.0), (5.0, 0.0)),
         params=Parameters(bike_speed=15.0),
     )
-    assert travel_time(inst, 0, 1, Mode.BIKE) == pytest.approx(20.0, abs=1e-12)
+    assert inst.bike_minutes(0, 1) == pytest.approx(20.0, abs=1e-12)
 
 
 def test_travel_time_ev_five_km_at_twenty_five():
@@ -77,13 +74,7 @@ def test_travel_time_ev_five_km_at_twenty_five():
         ((0.0, 5.0), (5.0, 0.0)),
         params=Parameters(ev_speed=25.0),
     )
-    assert travel_time(inst, 0, 1, Mode.EV) == pytest.approx(12.0, abs=1e-12)
-
-
-def test_travel_time_rejects_unknown_mode():
-    inst = two_station_instance()
-    with pytest.raises(ValueError):
-        travel_time(inst, 0, 1, "walk")
+    assert inst.ev_minutes(0, 1) == pytest.approx(12.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +85,7 @@ def test_empty_solution_profit_zero():
     inst = two_station_instance()
     sol = empty_solution(inst)
     assert sol.profit == 0.0
-    assert count_served(sol) == 0
+    assert sol.served == frozenset()
     assert sol.rejected == {1, 2}
     assert evaluate_profit(sol, inst) == 0.0
 
@@ -197,6 +188,23 @@ def test_request_rejects_inverted_window_and_bad_battery():
     with pytest.raises(ValueError):
         Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0,
                 tw_max=5.0, battery=0.5, revenue=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_parameters_reject_non_finite_numbers(value):
+    for name in ("duty_time", "ev_speed", "bike_speed", "park_time", "load_time",
+                 "full_range", "recharge_time", "worker_cost"):
+        with pytest.raises(ValueError, match="finite"):
+            Parameters(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_request_rejects_non_finite_numbers(value):
+    fields = dict(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0,
+                  tw_max=5.0, battery=0.5, revenue=1.0)
+    for name in ("tw_min", "tw_max", "battery", "revenue"):
+        with pytest.raises(ValueError, match="finite"):
+            Request(**{**fields, name: value})
 
 
 def test_revenue_model_validation_and_flat_draw():
