@@ -326,7 +326,6 @@ def validate_route(route, instance):
         return ValidationResult(tuple(problems))
 
     par = instance.parameters
-    state = initial_state(route.start_time)
     replayed = replay_route(instance, route.start_time, reqs, worker=route.worker)
 
     for idx, (req, stored, fresh) in enumerate(zip(reqs, route.visits, replayed.visits)):

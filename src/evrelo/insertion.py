@@ -19,11 +19,6 @@ from .model import EPS, RequestKind, assemble_solution
 NEG_INF = float("-inf")
 
 
-def _ev_leg(p, d, instance):
-    """Driving minutes between a pickup and a delivery parking."""
-    return instance.ev_minutes(p.location, d.location)
-
-
 def pair_necessary_feasible(pickup, delivery, instance):
     """Necessary conditions for a pickup/delivery pair to ever be served
     back-to-back by one worker.
@@ -36,16 +31,18 @@ def pair_necessary_feasible(pickup, delivery, instance):
     the actual schedule), but failing any one proves the pair useless.
     """
     par = instance.parameters
-    t = _ev_leg(pickup, delivery, instance)
+    dist = instance.distances
+    leg = dist[pickup.location][delivery.location]
+    t = leg * 60.0 / par.ev_speed
     if pickup.tw_min + t + par.load_time + par.park_time > delivery.tw_max + EPS:
         return False
-    spent = instance.distance(pickup.location, delivery.location) / par.full_range
+    spent = leg / par.full_range
     slack = (delivery.tw_max - delivery.tw_min) / par.recharge_time
     if pickup.battery - spent + slack < delivery.battery - EPS:
         return False
     tour = (
-        instance.bike_minutes(0, pickup.location)
-        + instance.bike_minutes(delivery.location, 0)
+        dist[0][pickup.location] * 60.0 / par.bike_speed
+        + dist[delivery.location][0] * 60.0 / par.bike_speed
         + max(t + par.load_time, delivery.tw_min - pickup.tw_max)
         + par.park_time
     )
@@ -55,49 +52,45 @@ def pair_necessary_feasible(pickup, delivery, instance):
 def compatible_partners(instance):
     """For every request id, the opposite-kind requests it can pair with,
     sorted by parking distance (ties by id).  Computed once per instance;
-    the screening conditions do not depend on solver state."""
-    partners = {}
+    the screening conditions do not depend on solver state, and each pair
+    is screened once for both of its requests."""
     pickups = [r for r in instance.requests if r.kind is RequestKind.PICKUP]
     deliveries = [r for r in instance.requests if r.kind is RequestKind.DELIVERY]
+    good = {r.id: [] for r in pickups + deliveries}
     for p in pickups:
-        good = [d for d in deliveries if pair_necessary_feasible(p, d, instance)]
-        good.sort(key=lambda d: (instance.distance(p.location, d.location), d.id))
-        partners[p.id] = tuple(good)
+        for d in deliveries:
+            if pair_necessary_feasible(p, d, instance):
+                good[p.id].append(d)
+                good[d.id].append(p)
+    dist = instance.distances
+    for p in pickups:
+        good[p.id].sort(key=lambda d: (dist[p.location][d.location], d.id))
     for d in deliveries:
-        good = [p for p in pickups if pair_necessary_feasible(p, d, instance)]
-        good.sort(key=lambda p: (instance.distance(p.location, d.location), p.id))
-        partners[d.id] = tuple(good)
-    return partners
+        good[d.id].sort(key=lambda p: (dist[p.location][d.location], p.id))
+    return {rid: tuple(reqs) for rid, reqs in good.items()}
 
 
-def critical_factor(request, opposite, instance):
-    """Urgency score of a request against the still-unserved opposite set.
+def critical_factor(request, partners, instance):
+    """Urgency score of a request against its still-unserved partners.
 
-    Lower is more urgent.  For a pickup: the latest useful departure over all
-    compatible deliveries minus the window opening.  For a delivery: the
-    window closing minus the earliest possible hand-over from a compatible
-    pickup.  Negative means the request can no longer be served; minus
-    infinity means nothing can be paired with it at all.
+    ``partners`` are the opposite-kind requests it can pair with, as
+    screened by ``compatible_partners``.  Lower is more urgent.  For a
+    pickup: the latest useful departure over those deliveries minus the
+    window opening.  For a delivery: the window closing minus the earliest
+    possible hand-over from those pickups.  Negative means the request can
+    no longer be served; minus infinity means nothing can be paired with it
+    at all.
     """
-    best = None
+    if not partners:
+        return NEG_INF
     if request.kind is RequestKind.PICKUP:
-        for d in opposite:
-            if d.kind is not RequestKind.DELIVERY or not pair_necessary_feasible(request, d, instance):
-                continue
-            value = d.tw_max - _ev_leg(request, d, instance)
-            if best is None or value > best:
-                best = value
-        return NEG_INF if best is None else best - request.tw_min
-    for p in opposite:
-        if p.kind is not RequestKind.PICKUP or not pair_necessary_feasible(p, request, instance):
-            continue
-        value = p.tw_min + _ev_leg(p, request, instance)
-        if best is None or value < best:
-            best = value
-    return NEG_INF if best is None else request.tw_max - best
+        latest = max(d.tw_max - instance.ev_minutes(request.location, d.location) for d in partners)
+        return latest - request.tw_min
+    earliest = min(p.tw_min + instance.ev_minutes(p.location, request.location) for p in partners)
+    return request.tw_max - earliest
 
 
-def preprocess(instance):
+def preprocess(instance, partners):
     """Purge hopeless requests and balance the pickup and delivery sets.
 
     Repeats two rules until nothing changes: drop every request whose urgency
@@ -105,7 +98,7 @@ def preprocess(instance):
     larger, drop its surplus lowest-scored requests.  Each removal can lower
     the scores of the survivors, hence the loop; on exit the two sides have
     equal size and every retained request scores non-negative against the
-    retained opposite side.
+    retained opposite side.  ``partners`` is ``compatible_partners(instance)``.
 
     Returns (retained, rejected) as tuples of requests in id order.
     """
@@ -114,7 +107,7 @@ def preprocess(instance):
     while True:
         current = list(retained.values())
         scores = {
-            r.id: critical_factor(r, [o for o in current if o.kind is not r.kind], instance)
+            r.id: critical_factor(r, [p for p in partners[r.id] if p.id in retained], instance)
             for r in current
         }
         doomed = [r for r in current if scores[r.id] < 0]
@@ -171,13 +164,14 @@ def init_first_pair(pickup, delivery, instance):
     residual wait).
     """
     par = instance.parameters
-    t = _ev_leg(pickup, delivery, instance)
+    dist = instance.distances
+    t = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
     handling = par.park_time + par.load_time
     completion = max(delivery.tw_min, pickup.tw_min + t + handling)
     pickup_arrival = min(pickup.tw_max, completion - t - handling)
     delivery_arrival = pickup_arrival + t + handling
     delivery_waiting = completion - delivery_arrival
-    start = pickup_arrival - instance.bike_minutes(0, pickup.location)
+    start = pickup_arrival - dist[0][pickup.location] * 60.0 / par.bike_speed
     return FirstPairTiming(
         completion_time=completion,
         pickup_arrival=pickup_arrival,
@@ -235,6 +229,7 @@ def _simulate_insertion(route, gap, pair, instance):
     if not 0 <= gap <= n:
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
     par = instance.parameters
+    dist = instance.distances
     feasible = True
 
     if gap == 0:
@@ -249,29 +244,29 @@ def _simulate_insertion(route, gap, pair, instance):
         prev = visits[2 * gap - 1]
         prev_req = instance.request(prev.request_id)
         dep_prev = prev.arrival + prev.waiting + par.park_time
-        a_p = dep_prev + instance.bike_minutes(prev_req.location, pickup.location)
+        a_p = dep_prev + dist[prev_req.location][pickup.location] * 60.0 / par.bike_speed
         if a_p > pickup.tw_max + EPS:
             feasible = False
         s_p = max(a_p, pickup.tw_min)
-        a_d = s_p + par.load_time + _ev_leg(pickup, delivery, instance)
+        a_d = s_p + par.load_time + dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
         dep_d = max(a_d + par.park_time, delivery.tw_min)
 
     if a_d > delivery.tw_max + EPS:
         feasible = False
     charge = charge_at_departure(pickup, s_p, par)
-    spent = instance.distance(pickup.location, delivery.location) / par.full_range
+    spent = dist[pickup.location][delivery.location] / par.full_range
     if charge - spent < -EPS:
         feasible = False
     elif charge - spent + (delivery.tw_max - a_d) / par.recharge_time < delivery.battery - EPS:
         feasible = False
 
     if gap == n:
-        new_end = dep_d + instance.bike_minutes(delivery.location, 0)
+        new_end = dep_d + dist[delivery.location][0] * 60.0 / par.bike_speed
         duration_change = (new_end - new_start) - route.duration
     else:
         successor = visits[2 * gap]
         succ_req = instance.request(successor.request_id)
-        delta = dep_d + instance.bike_minutes(delivery.location, succ_req.location) - successor.arrival
+        delta = dep_d + dist[delivery.location][succ_req.location] * 60.0 / par.bike_speed - successor.arrival
 
         # Propagate the shift across the remaining pairs exactly as a replay
         # would, re-checking each condition on the shifted schedule.
@@ -289,7 +284,7 @@ def _simulate_insertion(route, gap, pair, instance):
             ad_new = dv.arrival + delta
             if ad_new > dr.tw_max + EPS:
                 feasible = False
-            spent_i = instance.distance(pr.location, dr.location) / par.full_range
+            spent_i = dist[pr.location][dr.location] / par.full_range
             if c_new - spent_i < -EPS:
                 feasible = False
             elif c_new - spent_i + (dr.tw_max - ad_new) / par.recharge_time < dr.battery - EPS:
@@ -399,20 +394,25 @@ def _construct(instance, retained, partners, choose, worker_limit):
     timing, cheapest-gap insertion - is common.  A route closes when no
     candidate fits it; construction ends when a fresh route cannot take any
     pair or the workers run out.
+
+    A request with no unserved partner left can never be served and is
+    rejected.  ``live`` counts each unserved request's unserved partners:
+    placing a pair lowers only the counts of its two requests' partners, and
+    those that reach zero are rejected in id order (``retained`` comes in id
+    order, as ``preprocess`` returns it).  The partner relation is symmetric,
+    so a rejected request is nobody's live partner and one round suffices.
     """
     unserved = {r.id: r for r in retained}
+    live = {rid: sum(p.id in unserved for p in partners[rid]) for rid in unserved}
+    dead = [rid for rid in unserved if not live[rid]]
     rejected = []
     routes = []
     current = None
     blocked = set()
     while True:
-        # A request with no live partner can never be served any more.
-        for rid in list(unserved):
-            req = unserved[rid]
-            if not any(pid in unserved for pid in (p.id for p in partners[rid])):
-                rejected.append(req)
-                del unserved[rid]
-                blocked.discard(rid)
+        for rid in dead:
+            rejected.append(unserved.pop(rid))
+        dead = []
         candidates = [rid for rid in sorted(unserved) if rid not in blocked]
         if not candidates:
             if current is not None:
@@ -442,21 +442,30 @@ def _construct(instance, retained, partners, choose, worker_limit):
         del unserved[pickup.id]
         del unserved[delivery.id]
         blocked.clear()
+        for placed_id in (pickup.id, delivery.id):
+            for p in partners[placed_id]:
+                if p.id in unserved:
+                    live[p.id] -= 1
+                    if not live[p.id]:
+                        dead.append(p.id)
+        dead.sort()
     if current is not None:
         routes.append(current)
     rejected.extend(unserved.values())
     return routes, rejected
 
 
-def _urgency_order(candidates, unserved, instance):
-    """Most urgent candidate first: lowest score, then lowest id."""
-    pool = list(unserved.values())
-    scored = []
-    for rid in candidates:
-        req = unserved[rid]
-        cf = critical_factor(req, [o for o in pool if o.kind is not req.kind], instance)
-        scored.append((cf, rid))
-    return min(scored)[1]
+def _urgency_order(partners):
+    """Picker of the most urgent candidate: lowest score, then lowest id."""
+
+    def pick(candidates, unserved, instance):
+        scored = []
+        for rid in candidates:
+            live = [p for p in partners[rid] if p.id in unserved]
+            scored.append((critical_factor(unserved[rid], live, instance), rid))
+        return min(scored)[1]
+
+    return pick
 
 
 def run_ch(instance, objective="profit", drop_unprofitable=None):
@@ -473,10 +482,10 @@ def run_ch(instance, objective="profit", drop_unprofitable=None):
         raise ValueError(f"unknown objective {objective!r}")
     if drop_unprofitable is None:
         drop_unprofitable = objective == "profit"
-    retained, _ = preprocess(instance)
     partners = compatible_partners(instance)
+    retained, _ = preprocess(instance, partners)
     routes, _ = _construct(
-        instance, retained, partners, _urgency_order, instance.parameters.worker_count
+        instance, retained, partners, _urgency_order(partners), instance.parameters.worker_count
     )
     if drop_unprofitable:
         routes = _drop_unprofitable(routes, instance)
@@ -555,8 +564,8 @@ def run_rh(instance, config=None):
     nodes; once it is full, only repeats of what it holds are skipped.
     """
     config = config or RhConfig()
-    retained, _ = preprocess(instance)
     partners = compatible_partners(instance)
+    retained, _ = preprocess(instance, partners)
     drop = config.objective == "profit"
     limit = instance.parameters.worker_count
     built = _DrawTrie(width=max(len(retained), 1))

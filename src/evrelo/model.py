@@ -143,7 +143,11 @@ class RevenueModel:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable problem instance, safe to share between solver runs."""
+    """An immutable problem instance, safe to share between solver runs.
+
+    Every request location is checked against the distance matrix here, so
+    solver hot paths may index ``distances`` directly.
+    """
 
     parameters: Parameters
     requests: tuple
@@ -154,6 +158,12 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "requests", tuple(self.requests))
         object.__setattr__(self, "distances", tuple(tuple(row) for row in self.distances))
+        n = len(self.distances)
+        for r in self.requests:
+            if r.location >= n:
+                raise IndexOutOfRange(
+                    f"request {r.id}: location {r.location} outside matrix of size {n}"
+                )
 
     # -- lookups ----------------------------------------------------------
 
@@ -180,9 +190,10 @@ class Instance:
         return len(self.distances)
 
     def distance(self, origin, destination):
-        if not (0 <= origin < self.n_locations and 0 <= destination < self.n_locations):
+        n = len(self.distances)
+        if not (0 <= origin < n and 0 <= destination < n):
             raise IndexOutOfRange(
-                f"location pair ({origin}, {destination}) outside matrix of size {self.n_locations}"
+                f"location pair ({origin}, {destination}) outside matrix of size {n}"
             )
         return self.distances[origin][destination]
 

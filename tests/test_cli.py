@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, file outputs, and console formats."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import single_pair_reference
 from evrelo.cli import main
 from evrelo.feasibility import validate_solution
-from evrelo.generator import small_instances
+from evrelo.generator import make_benchmark, small_instances
 from evrelo.io import load_instance, load_solution, save_instance, save_solution
 from evrelo.insertion import run_ch
 
@@ -114,6 +115,27 @@ def test_solve_same_seed_is_byte_identical(instance_file, tmp_path):
                      "--iterations", "50", "--seed", "9",
                      "--out", str(target)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the RH solution files (40 iterations, seed 3) for three
+# make_benchmark("vamat_like", 30, seed=0) instances of 64, 46 and 59
+# requests, recorded with the construction that rescanned every partner
+# list at each step.  Same-seed output must stay byte-identical.
+RH_VAMAT_SOLUTION_SHA256 = {
+    21: "39a5f23c4c3fc18cf2404ff3123a723efb81da55674755f8a8cd9c7610187c29",
+    27: "454f7bc313ffb93ec12cd838e33f1449076184175ee90426e9cdd47573e60de3",
+    28: "25787ea4e840dfcbe37f915faa97a3fd9783bb2a00ae34ce9ace3e03e7e9a22c",
+}
+
+
+def test_solve_rh_output_matches_recorded_digests(tmp_path):
+    instances = make_benchmark("vamat_like", 30, seed=0)
+    for index, digest in RH_VAMAT_SOLUTION_SHA256.items():
+        path, out = tmp_path / f"vamat_{index}.json", tmp_path / f"vamat_{index}.solution.json"
+        save_instance(instances[index], path)
+        assert main(["solve", str(path), "--algorithm", "rh", "--iterations", "40",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_solve_missing_instance_is_input_error(tmp_path):

@@ -2,6 +2,7 @@
 insertion simulation, and the two insertion-based construction drivers."""
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from evrelo.insertion import (
     RhConfig,
     _construct,
     _drop_unprofitable,
+    _orient,
+    _urgency_order,
     apply_insertion,
     best_insertion,
     compatible_partners,
@@ -161,6 +164,20 @@ def test_compatible_partners_sorted_by_parking_distance():
     assert [q.id for q in partners[4]] == [1]
 
 
+def test_compatible_partners_screen_each_pair_once(monkeypatch):
+    screened = []
+    screen = insertion.pair_necessary_feasible
+    monkeypatch.setattr(insertion, "pair_necessary_feasible",
+                        lambda p, d, inst: screened.append((p.id, d.id)) or screen(p, d, inst))
+    instance = make_benchmark("vamat_like", 30, seed=0)[19]
+    partners = compatible_partners(instance)
+    assert len(screened) == len(set(screened)) == len(instance.pickups) * len(instance.deliveries)
+    # _construct relies on the relation being symmetric.
+    for rid, reqs in partners.items():
+        assert all(rid in {r.id for r in partners[q.id]} for q in reqs)
+    assert sum(map(len, partners.values())) > 0
+
+
 def _crowded_pickups(pickup_opens, delivery_windows):
     """All pickups on one station 1 km out, all deliveries 10 km further."""
     requests = [
@@ -173,7 +190,7 @@ def _crowded_pickups(pickup_opens, delivery_windows):
 
 def test_preprocess_balanced_compatible_input_untouched():
     inst = single_pair_reference()
-    retained, rejected = preprocess(inst)
+    retained, rejected = preprocess(inst, compatible_partners(inst))
     assert [r.id for r in retained] == [1, 2]
     assert rejected == ()
 
@@ -183,7 +200,7 @@ def test_preprocess_trims_surplus_side_by_urgency():
     # the smallest urgency scores and are dropped
     inst = _crowded_pickups([60.0, 70.0, 80.0, 90.0, 100.0],
                             [(150.0, 280.0)] * 3)
-    retained, rejected = preprocess(inst)
+    retained, rejected = preprocess(inst, compatible_partners(inst))
     assert [r.id for r in rejected] == [7, 9]
     assert [r.id for r in retained] == [1, 2, 3, 4, 5, 6]
 
@@ -193,7 +210,7 @@ def test_preprocess_purges_uncoupled_then_rebalances():
     # purged; the then-surplus pickup of lowest score follows
     inst = _crowded_pickups([60.0, 70.0, 80.0],
                             [(150.0, 280.0), (150.0, 280.0), (0.0, 80.0)])
-    retained, rejected = preprocess(inst)
+    retained, rejected = preprocess(inst, compatible_partners(inst))
     assert [r.id for r in rejected] == [5, 6]
     assert [r.id for r in retained] == [1, 2, 3, 4]
 
@@ -405,8 +422,8 @@ def test_rh_value_never_degrades_with_more_iterations():
 
 def _rh_every_iteration(instance, config):
     """(value, solution, draws) of each RH iteration, every construction built."""
-    retained, _ = preprocess(instance)
     partners = compatible_partners(instance)
+    retained, _ = preprocess(instance, partners)
     for i in range(config.iterations):
         rng = random.Random(config.seed * 1_000_003 + i)
         draws = []
@@ -446,6 +463,80 @@ RH_CONTRACT_FLEET = (
                        params=Parameters(worker_count=1, duty_time=150.0)),
     synthetic_instance(random.Random(44), params=Parameters(worker_count=2, duty_time=200.0)),
 )
+
+
+def _construct_full_scan(instance, retained, partners, choose, worker_limit):
+    """``_construct`` as it was before it counted live partners: every step
+    rescans the whole partner list of every unserved request."""
+    unserved = {r.id: r for r in retained}
+    rejected = []
+    routes = []
+    current = None
+    blocked = set()
+    while True:
+        for rid in list(unserved):
+            req = unserved[rid]
+            if not any(pid in unserved for pid in (p.id for p in partners[rid])):
+                rejected.append(req)
+                del unserved[rid]
+                blocked.discard(rid)
+        candidates = [rid for rid in sorted(unserved) if rid not in blocked]
+        if not candidates:
+            if current is not None:
+                routes.append(current)
+                current = None
+                blocked.clear()
+                if len(routes) < worker_limit and unserved:
+                    continue
+            break
+        rid = choose(candidates, unserved, instance)
+        request = unserved[rid]
+        partner = next(p for p in partners[rid] if p.id in unserved)
+        pickup, delivery = _orient(request, partner)
+        placed = None
+        if current is None:
+            attempt = materialize_first_pair(pickup, delivery, instance, worker=len(routes))
+            if validate_route(attempt, instance).ok:
+                placed = attempt
+        else:
+            candidate = best_insertion(current, (pickup, delivery), instance)
+            if candidate is not None:
+                placed = apply_insertion(current, candidate.gap, (pickup, delivery), instance)
+        if placed is None:
+            blocked.add(rid)
+            continue
+        current = placed
+        del unserved[pickup.id]
+        del unserved[delivery.id]
+        blocked.clear()
+    if current is not None:
+        routes.append(current)
+    rejected.extend(unserved.values())
+    return routes, rejected
+
+
+def _seeded_picker(seed):
+    rng = random.Random(seed)
+    return lambda candidates, unserved, instance: candidates[rng.randrange(len(candidates))]
+
+
+def test_construct_matches_the_full_partner_scan():
+    vamat = make_benchmark("vamat_like", 30, seed=0)
+    # On these two, placing a pair often leaves requests without a partner,
+    # several at once on the first; on the small fleet that never happens.
+    for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
+        partners = compatible_partners(instance)
+        # Every request preprocess keeps has a partner; the whole request
+        # list also has some without one from the start.
+        everyone = tuple(sorted(instance.requests, key=lambda r: r.id))
+        pickers = [lambda: _urgency_order(partners)]
+        pickers += [functools.partial(_seeded_picker, seed) for seed in range(4)]
+        for retained in (preprocess(instance, partners)[0], everyone):
+            for make_picker in pickers:
+                for limit in (1, instance.parameters.worker_count):
+                    routes, rejected = _construct(instance, retained, partners, make_picker(), limit)
+                    assert (routes, rejected) == _construct_full_scan(
+                        instance, retained, partners, make_picker(), limit)
 
 
 @pytest.mark.parametrize("node_cap", [None, 3])

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import euclidean_matrix, synthetic_instance
-from evrelo.errors import UnknownRequest
+from evrelo.errors import IndexOutOfRange, UnknownRequest
 from evrelo.model import (
     EPS,
     Instance,
@@ -232,6 +232,33 @@ def test_instance_request_lookup():
         inst.request(3)
     assert [r.id for r in inst.pickups] == [1]
     assert [r.id for r in inst.deliveries] == [2]
+
+
+def test_instance_rejects_request_location_outside_matrix():
+    inst = two_station_instance()
+
+    def with_pickup_at(location):
+        extra = Request(id=3, kind=RequestKind.PICKUP, location=location, tw_min=0.0,
+                        tw_max=500.0, battery=1.0, revenue=10.0)
+        return flat_instance(inst.requests + (extra,), inst.distances)
+
+    # Location 2 is the last row of the 3-by-3 matrix.
+    assert with_pickup_at(2).request(3).location == 2
+    for location in (3, 7):
+        with pytest.raises(IndexOutOfRange, match="request 3"):
+            with_pickup_at(location)
+
+
+def test_instance_distance_checks_both_indices():
+    inst = two_station_instance()
+    assert inst.distance(0, 2) == 2.0
+    for origin, destination in ((3, 0), (0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(IndexOutOfRange):
+            inst.distance(origin, destination)
+    with pytest.raises(IndexOutOfRange):
+        inst.bike_minutes(0, 3)
+    with pytest.raises(IndexOutOfRange):
+        inst.ev_minutes(3, 0)
 
 
 def test_route_schedule_duration_and_revenue():
