@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge
-from .feasibility import replay_route, validate_route
+from .feasibility import propagate, replay_route, validate_route
 from .model import EPS, RequestKind, assemble_solution, empty_solution
 
 _TIE_TOL = 1e-9
@@ -41,33 +41,19 @@ class OracleLimits:
 
 
 def _scan_sequence(seq, start, instance):
-    """Replay a pair sequence from a given depot departure.
+    """Replay a flat pickup, delivery, ... sequence from a depot departure.
 
     Returns (windows_ok, range_ok, last_departure): whether every window and
     charge-target condition holds, whether every driving-range condition
     holds, and when the worker leaves the final delivery.
     """
-    par = instance.parameters
-    windows_ok = True
-    range_ok = True
-    dep = start
-    loc = 0
-    for pickup, delivery in seq:
-        a_p = dep + instance.bike_minutes(loc, pickup.location)
-        if a_p > pickup.tw_max + EPS:
-            windows_ok = False
-        s_p = max(a_p, pickup.tw_min)
-        charge = min(pickup.battery + (s_p - pickup.tw_min) / par.recharge_time, 1.0)
-        a_d = s_p + par.load_time + instance.ev_minutes(pickup.location, delivery.location)
-        if a_d > delivery.tw_max + EPS:
-            windows_ok = False
-        spent = instance.distance(pickup.location, delivery.location) / par.full_range
-        if charge - spent < -EPS:
+    _, dep, failures = propagate(instance, start, 0, seq)
+    windows_ok = range_ok = True
+    for code, _ in failures:
+        if code == "battery_range":
             range_ok = False
-        if charge - spent + (delivery.tw_max - a_d) / par.recharge_time < delivery.battery - EPS:
+        else:
             windows_ok = False
-        dep = max(a_d + par.park_time, delivery.tw_min)
-        loc = delivery.location
     return windows_ok, range_ok, dep
 
 
@@ -80,7 +66,7 @@ def _latest_window_start(seq, instance):
     window closing); failing that, the answer is bisected against the
     departure low enough to pin the whole schedule to its window floors.
     """
-    first = seq[0][0]
+    first = seq[0]
     ride = instance.bike_minutes(0, first.location)
     hi = first.tw_max - ride
     if _scan_sequence(seq, hi, instance)[0]:
@@ -97,41 +83,34 @@ def _latest_window_start(seq, instance):
     return lo
 
 
-def _sequence_route(seq, instance):
-    """Feasible stored route for the sequence, or None.
-
-    Decides at the latest window-compatible departure and insists that the
-    materialized route replays clean through the validator.
-    """
-    start = _latest_window_start(seq, instance)
-    if start is None:
-        return None
-    windows_ok, range_ok, dep = _scan_sequence(seq, start, instance)
-    if not (windows_ok and range_ok):
-        return None
-    last = seq[-1][1]
-    if dep + instance.bike_minutes(last.location, 0) - start > instance.parameters.duty_time + EPS:
-        return None
-    order = [r for pair in seq for r in pair]
-    route = replay_route(instance, start, order)
-    if not validate_route(route, instance).ok:
-        return None
-    return route
-
-
-def _prefix_viable(seq, instance):
-    """Whether some extension of the sequence could still be feasible.
+def _viable_schedule(seq, instance):
+    """(start, last departure) at the latest window-compatible departure of
+    the sequence, or None when no extension of it can be feasible.
 
     Appending pairs only adds conditions and driving time, so a prefix whose
-    own conditions already fail at the latest window-compatible departure
-    (duty measured without the ride home, which an extension replaces)
-    condemns the whole subtree.
+    own conditions already fail at that departure (duty measured without
+    the ride home, which an extension replaces) condemns the whole subtree.
     """
     start = _latest_window_start(seq, instance)
     if start is None:
-        return False
+        return None
     _, range_ok, dep = _scan_sequence(seq, start, instance)
-    return range_ok and dep - start <= instance.parameters.duty_time + EPS
+    if range_ok and dep - start <= instance.parameters.duty_time + EPS:
+        return start, dep
+    return None
+
+
+def _sequence_route(seq, start, dep, instance):
+    """Feasible stored route for a sequence, or None.
+
+    ``start`` and ``dep`` are ``_viable_schedule``'s for the sequence; the
+    route must also fit the ride home into the duty time, and the
+    materialized route must replay clean through the validator.
+    """
+    if not dep + instance.bike_minutes(seq[-1].location, 0) - start <= instance.parameters.duty_time + EPS:
+        return None
+    route = replay_route(instance, start, seq)
+    return route if validate_route(route, instance).ok else None
 
 
 def _feasible_route_masks(instance, limits, deadline):
@@ -149,14 +128,14 @@ def _feasible_route_masks(instance, limits, deadline):
     masks = {}
     complete = True
 
-    def extend(seq, used):
+    def extend(seq, used, start=None, dep=None):
         nonlocal complete
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
         limits.nodes += 1
         if seq:
-            route = _sequence_route(seq, instance)
+            route = _sequence_route(seq, start, dep, instance)
             if route is not None:
                 masks.setdefault(frozenset(used), route)
         for p in pickups:
@@ -165,11 +144,12 @@ def _feasible_route_masks(instance, limits, deadline):
             for d in deliveries:
                 if d.id in used:
                     continue
-                seq.append((p, d))
+                seq += (p, d)
                 used.update((p.id, d.id))
-                if _prefix_viable(seq, instance):
-                    extend(seq, used)
-                seq.pop()
+                viable = _viable_schedule(seq, instance)
+                if viable is not None:
+                    extend(seq, used, *viable)
+                del seq[-2:]
                 used.difference_update((p.id, d.id))
                 if not complete:
                     return

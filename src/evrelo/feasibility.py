@@ -13,9 +13,11 @@ the visit order.  Walking the visits forward:
   until the worker drives away) and consumes charge in proportion to the
   driven distance.
 
-``validate_route`` replays a stored route with exactly these rules and is the
-single source of feasibility truth in the package: every solver accepts a
-route only if the validator does.
+This recurrence is written once, in ``propagate``; the replay, the
+validator, insertion simulation, the exact solver's departure scan and the
+greedy delivery screen all call it.  ``validate_route`` replays a stored
+route with it and is the single source of feasibility truth in the package:
+every solver accepts a route only if the validator would.
 """
 
 from __future__ import annotations
@@ -27,44 +29,74 @@ from .errors import WrongKind
 from .model import EPS, RequestKind, RouteSchedule, ScheduledVisit
 
 __all__ = [
-    "ScheduleState",
     "ValidationResult",
     "Violation",
-    "arrival_at_delivery",
-    "arrival_at_pickup",
-    "delivery_feasible",
-    "initial_state",
-    "opening_state",
-    "pickup_feasible",
+    "propagate",
     "replay_route",
     "route_start_for_pickup",
+    "schedule_route",
     "validate_route",
     "validate_solution",
-    "waiting_time",
 ]
 
 
-@dataclass(frozen=True)
-class ScheduleState:
-    """Where a worker stands while a route is being built.
+def propagate(instance, dep, loc, requests):
+    """Walk an alternating pickup, delivery, ... order forward from leaving
+    matrix location ``loc`` at time ``dep``.
 
-    ``ready_time`` is the earliest moment the worker can leave ``location``:
-    after a delivery it includes waiting and parking the EV, after a pickup it
-    includes waiting and stowing the bike.  ``carried_charge`` is the charge
-    of the EV the worker is driving, set between a pickup and the following
-    delivery and None otherwise.
+    Returns (stops, dep, failures): one (arrival, waiting, charge) tuple per
+    stop, charge being the EV's level when driven off a pickup and None at
+    a delivery; the departure from the last stop; and the failed
+    conditions as (code, index into ``requests``) in visit order, with
+    code one of ``pickup_window``, ``delivery_window``, ``battery_range``
+    (the charge cannot cover the leg) and ``battery_target`` (the delivery's
+    level is unreachable by its window closing).  The two battery codes are
+    judged independently.  Every comparison fails closed, so a NaN never
+    passes.  The order is not checked here; ``schedule_route`` does.
     """
-
-    location: int
-    ready_time: float
-    start_time: float
-    last_kind: Optional[RequestKind] = None
-    carried_charge: Optional[float] = None
-
-
-def initial_state(start_time):
-    """A worker standing at the depot, ready to leave at ``start_time``."""
-    return ScheduleState(location=0, ready_time=start_time, start_time=start_time)
+    par = instance.parameters
+    dist = instance.distances
+    bike, ev = par.bike_speed, par.ev_speed
+    park, load = par.park_time, par.load_time
+    recharge, full_range = par.recharge_time, par.full_range
+    stops = []
+    failures = []
+    visit = 0
+    pairs = iter(requests)
+    # The hottest loop of every solver: max()/min() are spelt out as
+    # comparisons (same results, NaN included) and fields read once.
+    for pickup, delivery in zip(pairs, pairs):
+        p_loc, d_loc = pickup.location, delivery.location
+        opening, closing = pickup.tw_min, delivery.tw_max
+        arrival = dep + dist[loc][p_loc] * 60.0 / bike
+        wait = opening - arrival
+        if not wait > 0.0:
+            wait = 0.0
+        start = arrival + wait
+        charge = pickup.battery + (start - opening) / recharge
+        if charge > 1.0:
+            charge = 1.0
+        if not arrival <= pickup.tw_max + EPS:
+            failures.append(("pickup_window", visit))
+        leg = dist[p_loc][d_loc]
+        d_arrival = start + load + leg * 60.0 / ev
+        d_wait = delivery.tw_min - d_arrival - park
+        if not d_wait > 0.0:
+            d_wait = 0.0
+        stops.append((arrival, wait, charge))
+        stops.append((d_arrival, d_wait, None))
+        visit += 1
+        if not d_arrival <= closing + EPS:
+            failures.append(("delivery_window", visit))
+        left = charge - leg / full_range
+        if not left >= -EPS:
+            failures.append(("battery_range", visit))
+        if not left + (closing - d_arrival) / recharge >= delivery.battery - EPS:
+            failures.append(("battery_target", visit))
+        dep = d_arrival + d_wait + park
+        loc = d_loc
+        visit += 1
+    return stops, dep, failures
 
 
 def route_start_for_pickup(pickup, instance):
@@ -73,143 +105,28 @@ def route_start_for_pickup(pickup, instance):
     return pickup.tw_min - instance.bike_minutes(0, pickup.location)
 
 
-def opening_state(pickup, instance):
-    """Initial state for a route whose first stop will be ``pickup``."""
-    return initial_state(route_start_for_pickup(pickup, instance))
+def schedule_route(instance, start_time, ordered_requests, worker=0):
+    """The stored route for a visit order, with the conditions it fails.
 
-
-def arrival_at_pickup(state, pickup, instance):
-    """Arrival time at a pickup reached by bike from the current state."""
-    if pickup.kind is not RequestKind.PICKUP:
-        raise WrongKind(f"request {pickup.id} is not a pickup")
-    if state.last_kind is RequestKind.PICKUP:
-        raise WrongKind("cannot ride to a pickup while holding an EV")
-    return state.ready_time + instance.bike_minutes(state.location, pickup.location)
-
-
-def arrival_at_delivery(state, delivery, instance):
-    """Arrival time at a delivery reached by EV from the pickup state."""
-    if delivery.kind is not RequestKind.DELIVERY:
-        raise WrongKind(f"request {delivery.id} is not a delivery")
-    if state.last_kind is not RequestKind.PICKUP:
-        raise WrongKind("a delivery must follow a pickup")
-    return state.ready_time + instance.ev_minutes(state.location, delivery.location)
-
-
-def waiting_time(request, arrival, park_time):
-    """Waiting incurred at a stop reached at ``arrival``.
-
-    At a delivery, parking the EV overlaps with waiting for the window, so the
-    worker only idles until ``tw_min - park_time``; at a pickup the window
-    must open before anything can happen.
+    Returns (route, failures): the route holds exactly the values the
+    validator will recompute, and ``failures`` lists ``propagate``'s failed
+    conditions followed by ("duty", None) when the route outlasts the duty
+    time.  Raises WrongKind if the order does not alternate pickup,
+    delivery, ..., delivery.
     """
-    if request.kind is RequestKind.PICKUP:
-        return max(0.0, request.tw_min - arrival)
-    return max(0.0, request.tw_min - arrival - park_time)
+    reqs = tuple(ordered_requests)
+    if (not reqs or len(reqs) % 2
+            or any(r.kind is not RequestKind.PICKUP for r in reqs[::2])
+            or any(r.kind is not RequestKind.DELIVERY for r in reqs[1::2])):
+        raise WrongKind("a route must alternate pickup, delivery, ..., delivery")
+    stops, dep, failures = propagate(instance, start_time, 0, reqs)
+    end_time = dep + instance.bike_minutes(reqs[-1].location, 0)
+    if not end_time - start_time <= instance.parameters.duty_time + EPS:
+        failures.append(("duty", None))
+    visits = tuple(ScheduledVisit(r.id, *stop) for r, stop in zip(reqs, stops))
+    route = RouteSchedule(worker=worker, start_time=start_time, visits=visits, end_time=end_time)
+    return route, failures
 
-
-def charge_at_departure(pickup, service_start, parameters):
-    """Charge of the EV when the worker drives it off its pickup station.
-
-    The EV has ``pickup.battery`` at the window opening and gains charge for
-    every minute parked after that, capped at a full battery.
-    """
-    gained = (service_start - pickup.tw_min) / parameters.recharge_time
-    return min(pickup.battery + gained, 1.0)
-
-
-def after_pickup(state, pickup, instance):
-    """Advance the state over ``pickup``; returns (new_state, visit)."""
-    par = instance.parameters
-    arrival = arrival_at_pickup(state, pickup, instance)
-    wait = waiting_time(pickup, arrival, par.park_time)
-    service_start = arrival + wait
-    charge = charge_at_departure(pickup, service_start, par)
-    visit = ScheduledVisit(pickup.id, arrival, wait, charge)
-    new_state = ScheduleState(
-        location=pickup.location,
-        ready_time=service_start + par.load_time,
-        start_time=state.start_time,
-        last_kind=RequestKind.PICKUP,
-        carried_charge=charge,
-    )
-    return new_state, visit
-
-
-def after_delivery(state, delivery, instance):
-    """Advance the state over ``delivery``; returns (new_state, visit)."""
-    par = instance.parameters
-    arrival = arrival_at_delivery(state, delivery, instance)
-    wait = waiting_time(delivery, arrival, par.park_time)
-    visit = ScheduledVisit(delivery.id, arrival, wait)
-    new_state = ScheduleState(
-        location=delivery.location,
-        ready_time=arrival + wait + par.park_time,
-        start_time=state.start_time,
-        last_kind=RequestKind.DELIVERY,
-        carried_charge=None,
-    )
-    return new_state, visit
-
-
-# ---------------------------------------------------------------------------
-# Per-request feasibility screens used while a route is under construction.
-# ---------------------------------------------------------------------------
-
-def pickup_feasible(state, pickup, candidate_deliveries, instance):
-    """Can the worker take on ``pickup`` next?
-
-    Two checks: the pickup is reached before its window closes, and there
-    remains enough duty time to serve it, drop the EV at the cheapest
-    candidate delivery and ride back to the depot.  ``candidate_deliveries``
-    must hold the unserved deliveries this pickup could be paired with; when
-    it is empty the pickup would strand the worker with an EV, so the answer
-    is no.
-    """
-    arrival = arrival_at_pickup(state, pickup, instance)
-    if arrival > pickup.tw_max + EPS:
-        return False
-    if not candidate_deliveries:
-        return False
-    par = instance.parameters
-    best_tail = min(
-        instance.ev_minutes(pickup.location, d.location)
-        + instance.bike_minutes(d.location, 0)
-        for d in candidate_deliveries
-    )
-    service_start = max(arrival, pickup.tw_min)
-    finish = service_start + par.load_time + best_tail + par.park_time
-    return finish - state.start_time <= par.duty_time + EPS
-
-
-def delivery_feasible(state, delivery, instance):
-    """Can the EV picked up last be dropped at ``delivery``?
-
-    Checks the delivery window, the duty time were the worker to head home
-    right after, that the carried charge covers the driven distance, and that
-    the battery can reach the level the delivery station demands before its
-    window closes (charging resumes once the EV is parked).
-    """
-    if state.carried_charge is None:
-        raise WrongKind("no EV in hand: delivery_feasible needs a post-pickup state")
-    par = instance.parameters
-    arrival = arrival_at_delivery(state, delivery, instance)
-    if arrival > delivery.tw_max + EPS:
-        return False
-    home = max(arrival, delivery.tw_min) + par.park_time + instance.bike_minutes(delivery.location, 0)
-    if home - state.start_time > par.duty_time + EPS:
-        return False
-    spent = instance.distance(state.location, delivery.location) / par.full_range
-    remaining = state.carried_charge - spent
-    if remaining < -EPS:
-        return False
-    recharge_slack = (delivery.tw_max - arrival) / par.recharge_time
-    return remaining + recharge_slack >= delivery.battery - EPS
-
-
-# ---------------------------------------------------------------------------
-# Replay and validation.
-# ---------------------------------------------------------------------------
 
 def replay_route(instance, start_time, ordered_requests, worker=0):
     """Build the canonical schedule for a visit order.
@@ -218,19 +135,7 @@ def replay_route(instance, start_time, ordered_requests, worker=0):
     delivery.  The returned route stores exactly the values the validator
     will recompute.
     """
-    reqs = list(ordered_requests)
-    if not reqs or len(reqs) % 2 != 0:
-        raise WrongKind("a route must hold one or more complete pickup/delivery pairs")
-    state = initial_state(start_time)
-    visits = []
-    for position, req in enumerate(reqs):
-        if position % 2 == 0:
-            state, visit = after_pickup(state, req, instance)
-        else:
-            state, visit = after_delivery(state, req, instance)
-        visits.append(visit)
-    end_time = state.ready_time + instance.bike_minutes(state.location, 0)
-    return RouteSchedule(worker=worker, start_time=start_time, visits=tuple(visits), end_time=end_time)
+    return schedule_route(instance, start_time, ordered_requests, worker)[0]
 
 
 @dataclass(frozen=True)
@@ -312,9 +217,11 @@ def validate_route(route, instance):
     The replay recomputes arrival, waiting and charge values from the start
     time and compares them with the stored ones; disagreement beyond the
     package tolerance is itself a violation, so tampering with any stored
-    number is detected.  On top of the replay the validator checks, per
-    visit, the pickup and delivery windows and both battery conditions, and,
-    per route, the duty time.
+    number is detected.  On top of the replay the validator reports, per
+    visit, the pickup and delivery windows and the battery conditions (a
+    charge target only where the range is covered), and, per route, the
+    duty time.  Every comparison fails closed, so a NaN or an infinity
+    never passes.
 
     The forward-looking construction screens (enough duty time left assuming
     the cheapest continuation) are deliberately not re-checked here: a
@@ -326,65 +233,57 @@ def validate_route(route, instance):
         return ValidationResult(tuple(problems))
 
     par = instance.parameters
-    replayed = replay_route(instance, route.start_time, reqs, worker=route.worker)
+    replayed, failures = schedule_route(instance, route.start_time, reqs, worker=route.worker)
+    windows = {visit: code for code, visit in failures if code.endswith("_window")}
 
     for idx, (req, stored, fresh) in enumerate(zip(reqs, route.visits, replayed.visits)):
-        if abs(stored.arrival - fresh.arrival) > EPS:
+        if not abs(stored.arrival - fresh.arrival) <= EPS:
             problems.append(
                 Violation("stored_schedule", f"arrival {stored.arrival} vs replay {fresh.arrival}", visit=idx)
             )
-        if abs(stored.waiting - fresh.waiting) > EPS:
+        if not abs(stored.waiting - fresh.waiting) <= EPS:
             problems.append(
                 Violation("stored_schedule", f"waiting {stored.waiting} vs replay {fresh.waiting}", visit=idx)
             )
-        if req.kind is RequestKind.PICKUP:
-            if (stored.ev_charge is None) or abs(stored.ev_charge - (fresh.ev_charge or 0.0)) > EPS:
-                problems.append(
-                    Violation(
-                        "stored_schedule",
-                        f"charge {stored.ev_charge} vs replay {fresh.ev_charge}",
-                        visit=idx,
-                    )
-                )
-            if fresh.arrival > req.tw_max + EPS:
-                problems.append(
-                    Violation("pickup_window", f"arrival {fresh.arrival} after {req.tw_max}", visit=idx)
-                )
-        else:
-            if fresh.arrival > req.tw_max + EPS:
-                problems.append(
-                    Violation("delivery_window", f"arrival {fresh.arrival} after {req.tw_max}", visit=idx)
-                )
-
-    # Battery conditions per pair, from replayed values.
-    for pair_idx in range(len(reqs) // 2):
-        pickup = reqs[2 * pair_idx]
-        delivery = reqs[2 * pair_idx + 1]
-        charge = replayed.visits[2 * pair_idx].ev_charge
-        spent = instance.distance(pickup.location, delivery.location) / par.full_range
-        arrival_d = replayed.visits[2 * pair_idx + 1].arrival
-        if charge - spent < -EPS:
+        if fresh.ev_charge is not None and (
+            stored.ev_charge is None or not abs(stored.ev_charge - fresh.ev_charge) <= EPS
+        ):
             problems.append(
                 Violation(
-                    "battery_range",
-                    f"charge {charge:.4f} cannot cover {spent:.4f}",
-                    visit=2 * pair_idx + 1,
+                    "stored_schedule",
+                    f"charge {stored.ev_charge} vs replay {fresh.ev_charge}",
+                    visit=idx,
                 )
             )
-        elif charge - spent + (delivery.tw_max - arrival_d) / par.recharge_time < delivery.battery - EPS:
+        if idx in windows:
+            problems.append(
+                Violation(windows[idx], f"arrival {fresh.arrival} after {req.tw_max}", visit=idx)
+            )
+
+    uncovered = set()
+    for code, visit in failures:
+        if code == "battery_range":
+            uncovered.add(visit)
+            charge = replayed.visits[visit - 1].ev_charge
+            spent = instance.distance(reqs[visit - 1].location, reqs[visit].location) / par.full_range
+            problems.append(
+                Violation(code, f"charge {charge:.4f} cannot cover {spent:.4f}", visit=visit)
+            )
+        elif code == "battery_target" and visit not in uncovered:
+            delivery = reqs[visit]
             problems.append(
                 Violation(
-                    "battery_target",
+                    code,
                     f"target {delivery.battery:.4f} unreachable by {delivery.tw_max}",
-                    visit=2 * pair_idx + 1,
+                    visit=visit,
                 )
             )
 
-    if abs(route.end_time - replayed.end_time) > EPS:
+    if not abs(route.end_time - replayed.end_time) <= EPS:
         problems.append(
             Violation("end_time", f"stored {route.end_time} vs replay {replayed.end_time}")
         )
-    if replayed.end_time - route.start_time > par.duty_time + EPS:
+    if ("duty", None) in failures:
         problems.append(
             Violation(
                 "duty",
@@ -434,15 +333,15 @@ def validate_solution(solution, instance):
     else:
         revenue = sum(instance.request(rid).revenue for rid in solution.served)
         cost = par.worker_cost * len(solution.routes)
-        if abs(revenue - solution.total_revenue) > EPS:
+        if not abs(revenue - solution.total_revenue) <= EPS:
             problems.append(
                 Violation("accounting", f"revenue {solution.total_revenue} should be {revenue}")
             )
-        if abs(cost - solution.worker_cost) > EPS:
+        if not abs(cost - solution.worker_cost) <= EPS:
             problems.append(
                 Violation("accounting", f"worker cost {solution.worker_cost} should be {cost}")
             )
-        if abs(revenue - cost - solution.profit) > EPS:
+        if not abs(revenue - cost - solution.profit) <= EPS:
             problems.append(
                 Violation("accounting", f"profit {solution.profit} should be {revenue - cost}")
             )

@@ -9,17 +9,10 @@ provided: nearest next request, and most urgent (earliest window closing).
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple, Optional
 
-from .feasibility import (
-    after_delivery,
-    after_pickup,
-    delivery_feasible,
-    opening_state,
-    pickup_feasible,
-    route_start_for_pickup,
-    replay_route,
-)
-from .model import EPS, RequestKind, assemble_solution
+from .feasibility import propagate, replay_route, route_start_for_pickup
+from .model import EPS, Request, RequestKind, assemble_solution
 
 
 class GreedyPolicy(enum.Enum):
@@ -29,33 +22,96 @@ class GreedyPolicy(enum.Enum):
     MOST_URGENT = "most_urgent"
 
 
-def _distance_from(state, request, instance):
-    origin = 0 if state is None else state.location
-    return instance.distance(origin, request.location)
+class Position(NamedTuple):
+    """Where a growing route stands.
+
+    ``location`` and ``departure`` are those of its last delivery (the depot
+    and the start time before the first one); ``held`` is the pickup whose
+    EV the worker has taken since, if any.
+    """
+
+    location: int
+    departure: float
+    start_time: float
+    held: Optional[Request] = None
 
 
-def select_next(state, candidates, policy, instance, delivery_pool=()):
+def opening_position(pickup, instance):
+    """The depot position of a route whose first stop will be ``pickup``,
+    reached exactly when its window opens."""
+    start = route_start_for_pickup(pickup, instance)
+    return Position(0, start, start)
+
+
+def pickup_feasible(position, pickup, candidate_deliveries, instance):
+    """Can the worker take on ``pickup`` next?
+
+    Two checks: the pickup is reached before its window closes, and there
+    remains enough duty time to serve it, drop the EV at the cheapest
+    candidate delivery and ride back to the depot.  ``candidate_deliveries``
+    must hold the unserved deliveries this pickup could be paired with; when
+    it is empty the pickup would strand the worker with an EV, so the answer
+    is no.
+    """
+    arrival = position.departure + instance.bike_minutes(position.location, pickup.location)
+    if not arrival <= pickup.tw_max + EPS:
+        return False
+    if not candidate_deliveries:
+        return False
+    par = instance.parameters
+    best_tail = min(
+        instance.ev_minutes(pickup.location, d.location)
+        + instance.bike_minutes(d.location, 0)
+        for d in candidate_deliveries
+    )
+    service_start = max(arrival, pickup.tw_min)
+    finish = service_start + par.load_time + best_tail + par.park_time
+    return finish - position.start_time <= par.duty_time + EPS
+
+
+def delivery_feasible(position, delivery, instance):
+    """Can the held EV be dropped at ``delivery``?
+
+    The held pickup and the delivery are propagated from the position: the
+    delivery window and both battery conditions must hold, and so must the
+    duty time were the worker to head home right after.
+    """
+    stops, _, failures = propagate(
+        instance, position.departure, position.location, (position.held, delivery)
+    )
+    if failures:
+        return False
+    par = instance.parameters
+    home = max(stops[1][0], delivery.tw_min) + par.park_time + instance.bike_minutes(delivery.location, 0)
+    return home - position.start_time <= par.duty_time + EPS
+
+
+def select_next(position, candidates, policy, instance, delivery_pool=()):
     """Best feasible next request from ``candidates`` under ``policy``.
 
-    With ``state`` None the route is still empty and each pickup is judged
-    from its own window-opening departure; otherwise the candidates are
-    checked against the current position.  ``delivery_pool`` is the set of
-    deliveries still open, needed to judge whether a pickup can lead
-    anywhere.  Returns None when nothing is feasible.  Ties (equal distance
-    or equal window closing) break toward the lowest request id.
+    With ``position`` None the route is still empty and each pickup is
+    judged from its own window-opening departure; otherwise the candidates
+    are checked against the current position, and deliveries only while an
+    EV is held.  ``delivery_pool`` is the set of deliveries still open,
+    needed to judge whether a pickup can lead anywhere.  Returns None when
+    nothing is feasible.  Ties (equal distance or equal window closing)
+    break toward the lowest request id.
     """
+    if position is None:
+        origin = 0
+    else:
+        origin = position.location if position.held is None else position.held.location
     best = None
     best_key = None
     for request in candidates:
         if request.kind is RequestKind.PICKUP:
-            st = opening_state(request, instance) if state is None else state
-            if not pickup_feasible(st, request, delivery_pool, instance):
+            at = opening_position(request, instance) if position is None else position
+            if not pickup_feasible(at, request, delivery_pool, instance):
                 continue
-        else:
-            if state is None or not delivery_feasible(state, request, instance):
-                continue
+        elif position is None or position.held is None or not delivery_feasible(position, request, instance):
+            continue
         if policy is GreedyPolicy.NEAREST:
-            key = (_distance_from(state, request, instance), request.id)
+            key = (instance.distance(origin, request.location), request.id)
         else:
             key = (request.tw_max, request.id)
         if best_key is None or key < best_key:
@@ -78,39 +134,39 @@ def run_greedy(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
     while len(routes) < instance.parameters.worker_count:
         barred = set()
         order = []
-        states = []
-        state = None
+        position = None
         while True:
             deliveries = [r for r in unserved.values() if r.kind is RequestKind.DELIVERY]
-            if order and order[-1].kind is RequestKind.PICKUP:
-                chosen = select_next(state, deliveries, policy, instance)
+            if position is not None and position.held is not None:
+                held = position.held
+                chosen = select_next(position, deliveries, policy, instance)
                 if chosen is None:
-                    popped = order.pop()
-                    states.pop()
-                    state = states[-1] if states else None
-                    unserved[popped.id] = popped
-                    barred.add(popped.id)
+                    order.pop()
+                    position = position._replace(held=None) if order else None
+                    unserved[held.id] = held
+                    barred.add(held.id)
                     continue
-                state, _ = after_delivery(state, chosen, instance)
+                _, departure, _ = propagate(
+                    instance, position.departure, position.location, (held, chosen)
+                )
+                position = Position(chosen.location, departure, position.start_time)
             else:
                 pickups = [
                     r
                     for r in unserved.values()
                     if r.kind is RequestKind.PICKUP and r.id not in barred
                 ]
-                chosen = select_next(state, pickups, policy, instance, deliveries)
+                chosen = select_next(position, pickups, policy, instance, deliveries)
                 if chosen is None:
                     break
-                if state is None:
-                    state = opening_state(chosen, instance)
-                state, _ = after_pickup(state, chosen, instance)
+                if position is None:
+                    position = opening_position(chosen, instance)
+                position = position._replace(held=chosen)
             order.append(chosen)
-            states.append(state)
             del unserved[chosen.id]
         if not order:
             break
-        start = route_start_for_pickup(order[0], instance)
-        routes.append(replay_route(instance, start, order, worker=len(routes)))
+        routes.append(replay_route(instance, position.start_time, order, worker=len(routes)))
     if drop_unprofitable:
         cost = instance.parameters.worker_cost
         routes = [r for r in routes if r.revenue(instance) >= cost - EPS]

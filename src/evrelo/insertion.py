@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GapOutOfRange
-from .feasibility import charge_at_departure, replay_route, validate_route
+from .feasibility import propagate, replay_route, schedule_route
 from .model import EPS, RequestKind, assemble_solution
 
 NEG_INF = float("-inf")
@@ -182,10 +182,18 @@ def init_first_pair(pickup, delivery, instance):
     )
 
 
+def _first_pair(pickup, delivery, instance, worker=0):
+    """(route, feasible): the stored one-pair route for ``init_first_pair``
+    timing and whether it meets every condition, judged in the one replay
+    that builds it."""
+    timing = init_first_pair(pickup, delivery, instance)
+    route, failures = schedule_route(instance, timing.start_time, (pickup, delivery), worker)
+    return route, not failures
+
+
 def materialize_first_pair(pickup, delivery, instance, worker=0):
     """Build the stored one-pair route for ``init_first_pair`` timing."""
-    timing = init_first_pair(pickup, delivery, instance)
-    return replay_route(instance, timing.start_time, (pickup, delivery), worker=worker)
+    return _first_pair(pickup, delivery, instance, worker)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +223,14 @@ def _simulate_insertion(route, gap, pair, instance):
     it), gap n appends after the last delivery, anything else goes between
     two existing pairs.
 
-    Returns (feasible, duration_change, new_start).  ``duration_change`` is
-    exact and signed: an inserted EV leg may shortcut what used to be a long
-    ride, pulling later visits earlier.  Later visits are never re-ordered;
-    their arrival shift is propagated exactly, window floors absorbing what
-    they can, and every downstream window and battery condition is re-checked
-    on the shifted values.  ``feasible`` means the route obtained by applying
-    the insertion replays clean, duty time included.
+    Returns (feasible, duration_change, new_start).  The schedule is
+    propagated from the departure at the gap over the new pair and every
+    later visit (never re-ordered), with the replay's own arithmetic, and
+    the visits before the gap keep their stored values.  So ``feasible`` is
+    the validator's verdict on the applied insertion, duty time included,
+    and ``duration_change`` equals the applied route's change of duration
+    exactly.  It is signed: an inserted EV leg may shortcut what used to be
+    a long ride, pulling later visits earlier.
     """
     pickup, delivery = pair
     visits = route.visits
@@ -229,74 +238,21 @@ def _simulate_insertion(route, gap, pair, instance):
     if not 0 <= gap <= n:
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
     par = instance.parameters
-    dist = instance.distances
-    feasible = True
-
+    by_id = instance._by_id
     if gap == 0:
-        timing = init_first_pair(pickup, delivery, instance)
-        new_start = timing.start_time
-        a_p = timing.pickup_arrival
-        s_p = a_p  # no waiting at the first pickup by construction
-        a_d = timing.delivery_arrival - par.park_time  # stored-schedule arrival
-        dep_d = timing.completion_time
+        new_start = init_first_pair(pickup, delivery, instance).start_time
+        dep, loc = new_start, 0
     else:
         new_start = route.start_time
         prev = visits[2 * gap - 1]
-        prev_req = instance.request(prev.request_id)
-        dep_prev = prev.arrival + prev.waiting + par.park_time
-        a_p = dep_prev + dist[prev_req.location][pickup.location] * 60.0 / par.bike_speed
-        if a_p > pickup.tw_max + EPS:
-            feasible = False
-        s_p = max(a_p, pickup.tw_min)
-        a_d = s_p + par.load_time + dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
-        dep_d = max(a_d + par.park_time, delivery.tw_min)
-
-    if a_d > delivery.tw_max + EPS:
-        feasible = False
-    charge = charge_at_departure(pickup, s_p, par)
-    spent = dist[pickup.location][delivery.location] / par.full_range
-    if charge - spent < -EPS:
-        feasible = False
-    elif charge - spent + (delivery.tw_max - a_d) / par.recharge_time < delivery.battery - EPS:
-        feasible = False
-
-    if gap == n:
-        new_end = dep_d + dist[delivery.location][0] * 60.0 / par.bike_speed
-        duration_change = (new_end - new_start) - route.duration
-    else:
-        successor = visits[2 * gap]
-        succ_req = instance.request(successor.request_id)
-        delta = dep_d + dist[delivery.location][succ_req.location] * 60.0 / par.bike_speed - successor.arrival
-
-        # Propagate the shift across the remaining pairs exactly as a replay
-        # would, re-checking each condition on the shifted schedule.
-        for i in range(gap, n):
-            pv, dv = visits[2 * i], visits[2 * i + 1]
-            pr = instance.request(pv.request_id)
-            dr = instance.request(dv.request_id)
-            a_new = pv.arrival + delta
-            if a_new > pr.tw_max + EPS:
-                feasible = False
-            s_old = pv.arrival + pv.waiting
-            s_new = max(a_new, pr.tw_min)
-            delta = s_new - s_old
-            c_new = charge_at_departure(pr, s_new, par)
-            ad_new = dv.arrival + delta
-            if ad_new > dr.tw_max + EPS:
-                feasible = False
-            spent_i = dist[pr.location][dr.location] / par.full_range
-            if c_new - spent_i < -EPS:
-                feasible = False
-            elif c_new - spent_i + (dr.tw_max - ad_new) / par.recharge_time < dr.battery - EPS:
-                feasible = False
-            dep_old = dv.arrival + dv.waiting + par.park_time
-            dep_new = max(ad_new + par.park_time, dr.tw_min)
-            delta = dep_new - dep_old
-        duration_change = (route.end_time + delta - new_start) - route.duration
-
-    if route.duration + duration_change > par.duty_time + EPS:
-        feasible = False
-    return feasible, duration_change, new_start
+        dep = prev.arrival + prev.waiting + par.park_time
+        loc = by_id[prev.request_id].location
+    order = [pickup, delivery]
+    order += [by_id[v.request_id] for v in visits[2 * gap:]]
+    _, dep, failures = propagate(instance, dep, loc, order)
+    duration = dep + instance.distances[order[-1].location][0] * 60.0 / par.bike_speed - new_start
+    feasible = not failures and duration <= par.duty_time + EPS
+    return feasible, duration - route.duration, new_start
 
 
 def time_extension(route, gap, pair, instance):
@@ -314,8 +270,9 @@ def time_extension(route, gap, pair, instance):
 def insertion_feasible(route, gap, pair, instance):
     """True when inserting ``pair`` at ``gap`` keeps the route feasible.
 
-    Sufficient by construction: a True verdict means the applied insertion
-    replays clean through the validator, duty time included.
+    Exact for a feasible route: the verdict is True precisely when the
+    applied insertion replays clean through the validator, duty time
+    included.
     """
     feasible, _, _ = _simulate_insertion(route, gap, pair, instance)
     return feasible
@@ -428,8 +385,8 @@ def _construct(instance, retained, partners, choose, worker_limit):
         pickup, delivery = _orient(request, partner)
         placed = None
         if current is None:
-            attempt = materialize_first_pair(pickup, delivery, instance, worker=len(routes))
-            if validate_route(attempt, instance).ok:
+            attempt, feasible = _first_pair(pickup, delivery, instance, worker=len(routes))
+            if feasible:
                 placed = attempt
         else:
             candidate = best_insertion(current, (pickup, delivery), instance)

@@ -306,6 +306,15 @@ def save_solution(solution, path):
     _write_json(solution_to_dict(solution), path)
 
 
+def _finite(mapping, name, where):
+    """A number field of a solution document; NaN and infinities are
+    rejected, since a NaN would pass every comparison made with it."""
+    value = _field(mapping, name, float, where)
+    if not math.isfinite(value):
+        raise ParseError(f"{where}.{name} must be finite, got {value}", field=name)
+    return value
+
+
 def load_solution(path):
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -319,21 +328,21 @@ def load_solution(path):
         visits = []
         for j, rv in enumerate(_field(raw, "visits", list, where)):
             vwhere = f"{where}.visits[{j}]"
-            charge = rv.get("ev_charge") if isinstance(rv, dict) else None
+            request_id = _field(rv, "request_id", int, vwhere)
             visits.append(
                 ScheduledVisit(
-                    request_id=_field(rv, "request_id", int, vwhere),
-                    arrival=_field(rv, "arrival", float, vwhere),
-                    waiting=_field(rv, "waiting", float, vwhere),
-                    ev_charge=None if charge is None else float(charge),
+                    request_id=request_id,
+                    arrival=_finite(rv, "arrival", vwhere),
+                    waiting=_finite(rv, "waiting", vwhere),
+                    ev_charge=None if rv.get("ev_charge") is None else _finite(rv, "ev_charge", vwhere),
                 )
             )
         routes.append(
             RouteSchedule(
                 worker=_field(raw, "worker", int, where),
-                start_time=_field(raw, "start_time", float, where),
+                start_time=_finite(raw, "start_time", where),
                 visits=tuple(visits),
-                end_time=_field(raw, "end_time", float, where),
+                end_time=_finite(raw, "end_time", where),
             )
         )
     optimal = doc.get("optimal")
@@ -347,8 +356,8 @@ def load_solution(path):
         routes=tuple(routes),
         served=frozenset(served),
         rejected=frozenset(rejected),
-        total_revenue=_field(doc, "total_revenue", float, "document"),
-        worker_cost=_field(doc, "worker_cost", float, "document"),
-        profit=_field(doc, "profit", float, "document"),
+        total_revenue=_finite(doc, "total_revenue", "document"),
+        worker_cost=_finite(doc, "worker_cost", "document"),
+        profit=_finite(doc, "profit", "document"),
         optimal=optimal,
     )

@@ -138,6 +138,35 @@ def test_solve_rh_output_matches_recorded_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the solution files of the other solvers, keyed by (algorithm,
+# make_benchmark("amat_like", 30, seed=0) index, objective), recorded before
+# the schedule recurrence was folded into one kernel.  Instance 2 (16
+# requests) is one whose exact route start comes from the bisection branch
+# of _latest_window_start, where reordered arithmetic could move a start by
+# an ulp.
+SOLVER_AMAT_SOLUTION_SHA256 = {
+    ("nnh", 0, "profit"): "7319e8551c1bb02c925265498e9c19d291fbea50ed7087ae1a03311442354f9a",
+    ("nnh", 28, "requests"): "27be3256170308b0fc78d9284d46b980934452dce42940c658ee0a199f4c010b",
+    ("muh", 0, "profit"): "f835d7aca377255d07d8ed6aff74170871121d49318609f5adccd2e4225f0352",
+    ("muh", 28, "requests"): "9c1419c4877470d8a6150e47aeb7b7f21fecef017a21c8d7dde8051ce5d770fb",
+    ("ch", 0, "profit"): "19f1ef78152ce5fbb2ef7d6cac6dbd762f751ca877714a2a2696e40f0b6d4a2e",
+    ("ch", 28, "requests"): "bbd51bcd07b21b823ce1cd694338c8fc9f193047cbad46be9e97a11a4a646443",
+    ("exact", 2, "profit"): "2a95d256d552f06b805375d2a22b1572a1a0cff9ee4a80a5b732f5fbc6344cf5",
+    ("exact", 19, "requests"): "f2c94c81dbaacfaa54a7d419db815f50904c4e9f55edb06eae9b378271522d8c",
+}
+
+
+def test_solve_other_solvers_output_matches_recorded_digests(tmp_path):
+    instances = make_benchmark("amat_like", 30, seed=0)
+    for (algorithm, index, objective), digest in SOLVER_AMAT_SOLUTION_SHA256.items():
+        path = tmp_path / f"amat_{index}.json"
+        out = tmp_path / f"amat_{index}.{algorithm}.{objective}.solution.json"
+        save_instance(instances[index], path)
+        assert main(["solve", str(path), "--algorithm", algorithm, "--objective", objective,
+                     "--max-requests", "16", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (algorithm, index)
+
+
 def test_solve_missing_instance_is_input_error(tmp_path):
     assert main(["solve", str(tmp_path / "absent.json")]) == 1
 

@@ -1,7 +1,8 @@
-"""Schedule propagation and validation: arrival/waiting recurrences, the
-construction-time screens, and the validator's violation reporting."""
+"""Schedule propagation and validation: the pickup/delivery kernel, the
+greedy construction screens, and the validator's violation reporting."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -10,21 +11,20 @@ from hypothesis import given, strategies as st
 from conftest import grow_route, single_pair_reference, synthetic_instance
 from evrelo.errors import WrongKind
 from evrelo.feasibility import (
-    ScheduleState,
-    arrival_at_delivery,
-    arrival_at_pickup,
-    charge_at_departure,
-    delivery_feasible,
-    initial_state,
-    opening_state,
-    pickup_feasible,
+    propagate,
     replay_route,
     route_start_for_pickup,
     validate_route,
     validate_solution,
-    waiting_time,
 )
-from evrelo.greedy import GreedyPolicy, run_greedy
+from evrelo.greedy import (
+    GreedyPolicy,
+    Position,
+    delivery_feasible,
+    pickup_feasible,
+    run_greedy,
+    select_next,
+)
 from evrelo.insertion import run_ch
 from evrelo.model import (
     Instance,
@@ -38,9 +38,16 @@ from evrelo.model import (
 )
 
 
-def _state(location, ready, start=0.0, last=None, charge=None):
-    return ScheduleState(location=location, ready_time=ready, start_time=start,
-                         last_kind=last, carried_charge=charge)
+def _reference_pair(inst):
+    return (inst.request(1), inst.request(2))
+
+
+def _with(inst, pickup=None, delivery=None):
+    """The reference instance with its pickup or delivery fields replaced."""
+    return dataclasses.replace(inst, requests=(
+        dataclasses.replace(inst.request(1), **(pickup or {})),
+        dataclasses.replace(inst.request(2), **(delivery or {})),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -51,62 +58,69 @@ def test_pickup_arrival_after_delivery_leg():
     # previous delivery done at 100 with no waiting, one minute of parking,
     # then a 5 km ride at 15 km/h: 100 + 1 + 20 = 121
     inst = single_pair_reference()
-    state = _state(location=0, ready=101.0, last=RequestKind.DELIVERY)
-    assert arrival_at_pickup(state, inst.request(1), inst) == pytest.approx(121.0)
+    stops, _, _ = propagate(inst, 101.0, 0, _reference_pair(inst))
+    assert stops[0][0] == pytest.approx(121.0)
 
 
 def test_first_pickup_start_backdated_to_window_opening():
     inst = single_pair_reference()
     pickup = inst.request(1)
-    assert route_start_for_pickup(pickup, inst) == pytest.approx(80.0)
-    state = opening_state(pickup, inst)
-    assert arrival_at_pickup(state, pickup, inst) == pytest.approx(100.0)
+    start = route_start_for_pickup(pickup, inst)
+    assert start == pytest.approx(80.0)
+    route = replay_route(inst, start, _reference_pair(inst))
+    assert route.visits[0].arrival == pytest.approx(100.0)
+    assert route.visits[0].waiting == pytest.approx(0.0)
 
 
 def test_pickup_arrival_degenerate_zero_leg():
     inst = single_pair_reference()
-    state = _state(location=1, ready=42.0, last=RequestKind.DELIVERY)
-    assert arrival_at_pickup(state, inst.request(1), inst) == pytest.approx(42.0)
+    stops, _, _ = propagate(inst, 142.0, 1, _reference_pair(inst))
+    assert stops[0][0] == pytest.approx(142.0)
 
 
 def test_pickup_arrival_rejects_wrong_kind_or_held_ev():
     inst = single_pair_reference()
+    pickup, delivery = _reference_pair(inst)
     with pytest.raises(WrongKind):
-        arrival_at_pickup(initial_state(0.0), inst.request(2), inst)
-    held = _state(location=1, ready=0.0, last=RequestKind.PICKUP, charge=1.0)
+        replay_route(inst, 0.0, (delivery, delivery))
+    # riding to a pickup while the EV of the previous one is still held
     with pytest.raises(WrongKind):
-        arrival_at_pickup(held, inst.request(1), inst)
+        replay_route(inst, 0.0, (pickup, pickup))
 
 
 def test_delivery_arrival_counts_driving_from_pickup():
     # service at the pickup starts at 128, loading takes 1 minute, the EV leg
     # is 50 minutes: parked-EV arrival at 179, zero residual wait
     inst = single_pair_reference()
-    state = _state(location=1, ready=129.0, last=RequestKind.PICKUP, charge=1.0)
-    arrival = arrival_at_delivery(state, inst.request(2), inst)
-    assert arrival == pytest.approx(179.0)
-    assert waiting_time(inst.request(2), arrival, inst.parameters.park_time) == 0.0
+    stops, dep, failures = propagate(inst, 128.0, 1, _reference_pair(inst))
+    assert stops[1] == pytest.approx((179.0, 0.0, None))
+    assert dep == pytest.approx(180.0)
+    assert failures == []
 
 
 def test_delivery_arrival_shifts_linearly_with_pickup_waiting():
     inst = single_pair_reference()
-    base = _state(location=1, ready=129.0, last=RequestKind.PICKUP, charge=1.0)
-    delayed = _state(location=1, ready=139.0, last=RequestKind.PICKUP, charge=1.0)
-    a0 = arrival_at_delivery(base, inst.request(2), inst)
-    a1 = arrival_at_delivery(delayed, inst.request(2), inst)
-    assert a1 - a0 == pytest.approx(10.0)
+    # the pickup window opening at 138 holds the worker 10 minutes
+    delayed = _with(inst, pickup={"tw_min": 138.0})
+    base, _, _ = propagate(inst, 108.0, 0, _reference_pair(inst))
+    held, _, _ = propagate(delayed, 108.0, 0, _reference_pair(delayed))
+    assert held[0][1] == pytest.approx(10.0)
+    assert held[1][0] - base[1][0] == pytest.approx(10.0)
 
 
 def test_delivery_arrival_degenerate_zero_leg():
-    inst = single_pair_reference()
-    state = _state(location=2, ready=50.0, last=RequestKind.PICKUP, charge=1.0)
-    assert arrival_at_delivery(state, inst.request(2), inst) == pytest.approx(50.0)
+    # pickup and delivery share a station: the EV arrives as soon as it is
+    # loaded
+    inst = _with(single_pair_reference(), pickup={"tw_min": 0.0}, delivery={"location": 1})
+    stops, _, _ = propagate(inst, 49.0, 1, _reference_pair(inst))
+    assert stops[1][0] == pytest.approx(50.0)
 
 
 def test_delivery_arrival_requires_preceding_pickup():
     inst = single_pair_reference()
+    pickup, delivery = _reference_pair(inst)
     with pytest.raises(WrongKind):
-        arrival_at_delivery(initial_state(0.0), inst.request(2), inst)
+        replay_route(inst, 0.0, (pickup, delivery, delivery, pickup))
 
 
 # ---------------------------------------------------------------------------
@@ -114,68 +128,84 @@ def test_delivery_arrival_requires_preceding_pickup():
 # ---------------------------------------------------------------------------
 
 def test_waiting_delivery_parking_overlaps_window():
-    req = Request(id=2, kind=RequestKind.DELIVERY, location=1, tw_min=180.0,
-                  tw_max=300.0, battery=0.0, revenue=1.0)
-    assert waiting_time(req, 180.0, 1.0) == 0.0
-    assert waiting_time(req, 179.0, 1.0) == 0.0
-    assert waiting_time(req, 170.0, 1.0) == pytest.approx(9.0)
+    # the delivery window opens at 180 and parking takes a minute: arriving
+    # at 180 or 179 costs no waiting, arriving at 170 costs 9 minutes
+    inst = single_pair_reference()
+    waits = [propagate(inst, start, 0, _reference_pair(inst))[0][1][1]
+             for start in (109.0, 108.0, 99.0)]
+    assert waits == pytest.approx([0.0, 0.0, 9.0])
 
 
 def test_waiting_pickup_full_wait():
-    req = Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=100.0,
-                  tw_max=300.0, battery=0.5, revenue=1.0)
-    assert waiting_time(req, 90.0, 1.0) == pytest.approx(10.0)
-    assert waiting_time(req, 250.0, 1.0) == 0.0
+    inst = single_pair_reference()
+    early, _, _ = propagate(inst, 70.0, 0, _reference_pair(inst))
+    late, _, _ = propagate(inst, 130.0, 0, _reference_pair(inst))
+    assert early[0][:2] == pytest.approx((90.0, 10.0))
+    assert late[0][:2] == pytest.approx((150.0, 0.0))
 
 
 def test_charge_accrues_while_parked_and_caps_at_full():
-    par = Parameters(recharge_time=240.0)
-    req = Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=100.0,
-                  tw_max=300.0, battery=0.5, revenue=1.0)
-    assert charge_at_departure(req, 100.0, par) == pytest.approx(0.5)
-    assert charge_at_departure(req, 220.0, par) == pytest.approx(1.0)
-    assert charge_at_departure(req, 160.0, par) == pytest.approx(0.75)
+    # half charged when the window opens at 100, full after 240 minutes
+    inst = _with(single_pair_reference(), pickup={"battery": 0.5, "tw_max": 300.0})
+    charges = [propagate(inst, start, 1, _reference_pair(inst))[0][0][2]
+               for start in (100.0, 220.0, 160.0)]
+    assert charges == pytest.approx([0.5, 1.0, 0.75])
+    assert propagate(inst, 100.0, 1, _reference_pair(inst))[0][1][2] is None
 
 
 # ---------------------------------------------------------------------------
 # Construction screens.
 # ---------------------------------------------------------------------------
 
+def _at_depot(start):
+    return Position(location=0, departure=start, start_time=start)
+
+
+def _holding(pickup, location, departure, start=0.0):
+    return Position(location=location, departure=departure, start_time=start, held=pickup)
+
+
 def test_pickup_feasible_window_boundary_inclusive():
     inst = single_pair_reference()
-    pickup, delivery = inst.request(1), inst.request(2)
-    at_boundary = initial_state(180.0)       # arrival exactly 200 == tw_max
-    past_boundary = initial_state(180.001)
+    pickup, delivery = _reference_pair(inst)
+    at_boundary = _at_depot(180.0)       # arrival exactly 200 == tw_max
+    past_boundary = _at_depot(180.001)
     assert pickup_feasible(at_boundary, pickup, [delivery], inst)
     assert not pickup_feasible(past_boundary, pickup, [delivery], inst)
 
 
 def test_pickup_without_candidate_deliveries_is_infeasible():
     inst = single_pair_reference()
-    assert not pickup_feasible(initial_state(80.0), inst.request(1), [], inst)
+    assert not pickup_feasible(_at_depot(80.0), inst.request(1), [], inst)
+
+
+def _held_half_charged(target, **params):
+    """A half-charged EV loaded at station 1 at 100 and driven 30 km to a
+    delivery closing at 292; no loading time, so it arrives at 172."""
+    parameters = Parameters(ev_speed=25.0, recharge_time=240.0, full_range=150.0,
+                            load_time=0.0, **params)
+    distances = (
+        (0.0, 1.0, 30.5),
+        (1.0, 0.0, 30.0),
+        (30.5, 30.0, 0.0),
+    )
+    pickup = Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=100.0,
+                     tw_max=300.0, battery=0.5, revenue=1.0)
+    delivery = Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=100.0,
+                       tw_max=292.0, battery=target, revenue=1.0)
+    inst = Instance(parameters=parameters, requests=(pickup, delivery), distances=distances)
+    return inst, _holding(pickup, location=1, departure=100.0), delivery
 
 
 def test_delivery_feasible_battery_recharge_window():
     # drive 30 km on a 150 km range starting from half charge: 0.2 spent;
     # half a full recharge fits before the window closes, so a 0.7 target
     # passes (0.3 + 0.5 >= 0.7) and a 0.81 target fails
-    params = Parameters(ev_speed=25.0, recharge_time=240.0, full_range=150.0)
-    distances = (
-        (0.0, 1.0, 30.5),
-        (1.0, 0.0, 30.0),
-        (30.5, 30.0, 0.0),
-    )
-
-    def delivery(target):
-        return Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=100.0,
-                       tw_max=292.0, battery=target, revenue=1.0)
-
-    state = _state(location=1, ready=100.0, last=RequestKind.PICKUP, charge=0.5)
-    inst = Instance(parameters=params,
-                    requests=(delivery(0.7),), distances=distances)
+    inst, position, delivery = _held_half_charged(0.7)
     # arrival = 100 + 30*60/25 = 172; slack = (292-172)/240 = 0.5
-    assert delivery_feasible(state, delivery(0.7), inst)
-    assert not delivery_feasible(state, delivery(0.81), inst)
+    assert delivery_feasible(position, delivery, inst)
+    inst, position, delivery = _held_half_charged(0.81)
+    assert not delivery_feasible(position, delivery, inst)
 
 
 def test_delivery_leg_beyond_range_is_infeasible():
@@ -185,23 +215,26 @@ def test_delivery_leg_beyond_range_is_infeasible():
         (1.0, 0.0, 160.0),
         (160.0, 160.0, 0.0),
     )
+    pickup = Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0,
+                     tw_max=100000.0, battery=1.0, revenue=1.0)
     target = Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=0.0,
                      tw_max=100000.0, battery=0.0, revenue=1.0)
-    inst = Instance(parameters=params, requests=(target,), distances=distances)
-    state = _state(location=1, ready=0.0, last=RequestKind.PICKUP, charge=1.0)
-    assert not delivery_feasible(state, target, inst)
+    inst = Instance(parameters=params, requests=(pickup, target), distances=distances)
+    assert not delivery_feasible(_holding(pickup, location=1, departure=0.0), target, inst)
 
 
 def test_delivery_zero_target_with_full_charge_is_feasible():
     inst = single_pair_reference()
-    state = _state(location=1, ready=129.0, last=RequestKind.PICKUP, charge=1.0)
-    assert delivery_feasible(state, inst.request(2), inst)
+    pickup, delivery = _reference_pair(inst)
+    assert delivery_feasible(_holding(pickup, location=1, departure=128.0, start=108.0),
+                             delivery, inst)
 
 
 def test_delivery_feasible_requires_held_ev():
     inst = single_pair_reference()
-    with pytest.raises(WrongKind):
-        delivery_feasible(initial_state(0.0), inst.request(2), inst)
+    _, delivery = _reference_pair(inst)
+    assert select_next(None, [delivery], GreedyPolicy.NEAREST, inst) is None
+    assert select_next(_at_depot(0.0), [delivery], GreedyPolicy.NEAREST, inst) is None
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +327,18 @@ def test_validate_route_flags_battery_range_and_target():
     assert any(v.code == "battery_target" for v in result2.violations)
 
 
+def test_validate_route_reports_target_only_where_range_is_covered():
+    # A drained EV misses both the leg and a 0.999 handover target by 185;
+    # the kernel fails both conditions, the validator reports the range only.
+    inst = _with(single_pair_reference(), pickup={"battery": 0.0},
+                 delivery={"tw_max": 185.0, "battery": 0.999})
+    route = replay_route(inst, 108.0, _reference_pair(inst))
+    _, _, failures = propagate(inst, 108.0, 0, _reference_pair(inst))
+    assert failures == [("battery_range", 1), ("battery_target", 1)]
+    assert [(v.code, v.visit) for v in validate_route(route, inst).violations] == [
+        ("battery_range", 1)]
+
+
 def test_validate_route_flags_tampered_stored_values():
     inst = single_pair_reference()
     route = _valid_route(inst)
@@ -304,6 +349,33 @@ def test_validate_route_flags_tampered_stored_values():
     wrong_end = dataclasses.replace(route, end_time=route.end_time + 2.0)
     assert any(v.code == "end_time"
                for v in validate_route(wrong_end, inst).violations)
+
+
+def test_validate_route_fails_closed_on_a_nan_arrival():
+    inst = single_pair_reference()
+    route = _valid_route(inst)
+    nan_visit = dataclasses.replace(route.visits[1], arrival=math.nan)
+    result = validate_route(dataclasses.replace(route, visits=(route.visits[0], nan_visit)), inst)
+    assert [(v.code, v.visit) for v in result.violations] == [("stored_schedule", 1)]
+
+
+def test_validate_route_fails_closed_on_an_infinite_start():
+    # Leaving at -inf makes the replayed pickup waiting infinite and every
+    # later replayed value NaN, the end time included.
+    inst = single_pair_reference()
+    route = dataclasses.replace(_valid_route(inst), start_time=-math.inf)
+    codes = {v.code for v in validate_route(route, inst).violations}
+    assert {"end_time", "duty"} <= codes
+
+
+def test_validate_route_rejects_an_all_nan_schedule():
+    inst = single_pair_reference()
+    nan = math.nan
+    route = RouteSchedule(worker=0, start_time=nan, end_time=nan,
+                          visits=(ScheduledVisit(1, nan, nan, nan), ScheduledVisit(2, nan, nan)))
+    codes = [v.code for v in validate_route(route, inst).violations]
+    assert codes[:4] == ["stored_schedule", "stored_schedule", "stored_schedule", "pickup_window"]
+    assert "duty" in codes
 
 
 def test_validate_route_flags_alternation_and_duplicates():

@@ -6,8 +6,8 @@ import dataclasses
 import pytest
 
 from conftest import single_pair_reference
-from evrelo.feasibility import after_delivery, after_pickup, opening_state, validate_solution
-from evrelo.greedy import GreedyPolicy, run_greedy, select_next
+from evrelo.feasibility import propagate, validate_solution
+from evrelo.greedy import GreedyPolicy, Position, opening_position, run_greedy, select_next
 from evrelo.model import Instance, Parameters, Request, RequestKind
 
 
@@ -75,13 +75,13 @@ def test_select_next_breaks_ties_toward_lower_id(fork):
 
 def test_select_next_measures_from_current_position(fork):
     inst, a, b, da, db = fork
-    state = opening_state(a, inst)
-    state, _ = after_pickup(state, a, inst)
-    chosen = select_next(state, [da, db], GreedyPolicy.NEAREST, inst)
+    position = opening_position(a, inst)._replace(held=a)
+    chosen = select_next(position, [da, db], GreedyPolicy.NEAREST, inst)
     assert chosen is da  # equal distance, lower id
-    state, _ = after_delivery(state, chosen, inst)
+    _, departure, _ = propagate(inst, position.departure, 0, (a, chosen))
+    position = Position(chosen.location, departure, position.start_time)
     # from the delivery station the remaining pickup is 2 km away
-    assert select_next(state, [b], GreedyPolicy.NEAREST, inst,
+    assert select_next(position, [b], GreedyPolicy.NEAREST, inst,
                        delivery_pool=[db]) is b
 
 

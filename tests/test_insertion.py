@@ -16,6 +16,8 @@ from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
     RhConfig,
     _construct,
+    _first_pair,
+    _simulate_insertion,
     _drop_unprofitable,
     _orient,
     _urgency_order,
@@ -539,6 +541,22 @@ def test_construct_matches_the_full_partner_scan():
                         instance, retained, partners, make_picker(), limit)
 
 
+def test_first_pair_is_judged_in_the_replay_that_builds_it():
+    # Every compatible pair opens a feasible route on these instances, so
+    # the incompatible pairs are tried as well, for infeasible verdicts.
+    vamat = make_benchmark("vamat_like", 30, seed=0)
+    verdicts = set()
+    for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
+        for pickup in instance.pickups:
+            for delivery in instance.deliveries:
+                route, feasible = _first_pair(pickup, delivery, instance, worker=2)
+                reference = materialize_first_pair(pickup, delivery, instance, worker=2)
+                assert route == reference
+                assert feasible == validate_route(reference, instance).ok
+                verdicts.add(feasible)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("node_cap", [None, 3])
 def test_rh_equals_building_every_iteration(node_cap, monkeypatch):
     # A cap of 3 nodes fills the trie on the first construction of any
@@ -595,6 +613,27 @@ def test_simulated_insertions_replay_exactly(seed):
         assert validate_route(applied, instance).ok
         predicted = time_extension(route, gap, pair, instance)
         assert applied.duration - route.duration == pytest.approx(predicted, abs=1e-6)
+
+
+@given(st.integers(min_value=0, max_value=5_000))
+def test_simulation_is_apply_and_validate_at_every_gap(seed):
+    # Every gap of every route grown along the way, infeasible ones included:
+    # the verdict is the validator's on the applied insertion, and the
+    # duration change is the applied route's, to the last bit.
+    rng = random.Random(seed)
+    instance = synthetic_instance(rng)
+    cases, final = grow_route(instance, rng)
+    routes = {route for route, _, _ in cases} | ({final} if final is not None else set())
+    for route in routes:
+        served = set(route.request_ids)
+        for pair in synthetic_pairs(instance):
+            if pair[0].id in served:
+                continue
+            for gap in range(len(route.visits) // 2 + 1):
+                feasible, change, _ = _simulate_insertion(route, gap, pair, instance)
+                applied = apply_insertion(route, gap, pair, instance)
+                assert feasible == validate_route(applied, instance).ok
+                assert change == applied.duration - route.duration
 
 
 @given(st.integers(min_value=0, max_value=5_000))

@@ -150,6 +150,41 @@ def test_solution_parse_diagnostics(tmp_path):
         load_solution(path2)
 
 
+def test_solution_non_finite_numbers_rejected(tmp_path):
+    solution = run_ch(single_pair_reference(), objective="requests")
+    path = tmp_path / "nan.solution.json"
+
+    def owner(doc, name):
+        if name in ("start_time", "end_time"):
+            return doc["routes"][0]
+        if name in ("arrival", "waiting", "ev_charge"):
+            return doc["routes"][0]["visits"][0]
+        return doc
+
+    for name in ("start_time", "end_time", "arrival", "waiting", "ev_charge",
+                 "total_revenue", "worker_cost", "profit"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            doc = solution_to_dict(solution)
+            owner(doc, name)[name] = value
+            path.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity tokens
+            with pytest.raises(ParseError) as err:
+                load_solution(path)
+            assert err.value.field == name
+            assert "must be finite" in str(err.value)
+
+    # A route whose every schedule number is NaN used to load and validate.
+    doc = solution_to_dict(solution)
+    route = doc["routes"][0]
+    route["start_time"] = route["end_time"] = float("nan")
+    for visit in route["visits"]:
+        visit["arrival"] = visit["waiting"] = float("nan")
+        if visit["ev_charge"] is not None:
+            visit["ev_charge"] = float("nan")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_solution(path)
+
+
 # ---------------------------------------------------------------------------
 # Invariant collection.
 # ---------------------------------------------------------------------------
