@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Optional
 
+from .errors import WrongKind
 from .feasibility import propagate, replay_route, route_start_for_pickup
 from .model import EPS, Request, RequestKind, assemble_solution
 
@@ -51,8 +52,12 @@ def pickup_feasible(position, pickup, candidate_deliveries, instance):
     candidate delivery and ride back to the depot.  ``candidate_deliveries``
     must hold the unserved deliveries this pickup could be paired with; when
     it is empty the pickup would strand the worker with an EV, so the answer
-    is no.
+    is no.  Raises WrongKind if ``pickup`` is not a pickup or an EV is held.
     """
+    if pickup.kind is not RequestKind.PICKUP:
+        raise WrongKind(f"request {pickup.id} is not a pickup")
+    if position.held is not None:
+        raise WrongKind("cannot ride to a pickup while holding an EV")
     arrival = position.departure + instance.bike_minutes(position.location, pickup.location)
     if not arrival <= pickup.tw_max + EPS:
         return False
@@ -74,8 +79,13 @@ def delivery_feasible(position, delivery, instance):
 
     The held pickup and the delivery are propagated from the position: the
     delivery window and both battery conditions must hold, and so must the
-    duty time were the worker to head home right after.
+    duty time were the worker to head home right after.  Raises WrongKind
+    if ``delivery`` is not a delivery or no EV is held.
     """
+    if delivery.kind is not RequestKind.DELIVERY:
+        raise WrongKind(f"request {delivery.id} is not a delivery")
+    if position.held is None:
+        raise WrongKind("no EV in hand: delivery_feasible needs a held pickup")
     stops, _, failures = propagate(
         instance, position.departure, position.location, (position.held, delivery)
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GapOutOfRange
+from .errors import GapOutOfRange, UnknownRequest
 from .feasibility import propagate, replay_route, schedule_route
 from .model import EPS, RequestKind, assemble_solution
 
@@ -238,17 +238,20 @@ def _simulate_insertion(route, gap, pair, instance):
     if not 0 <= gap <= n:
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
     par = instance.parameters
-    by_id = instance._by_id
-    if gap == 0:
-        new_start = init_first_pair(pickup, delivery, instance).start_time
-        dep, loc = new_start, 0
-    else:
-        new_start = route.start_time
-        prev = visits[2 * gap - 1]
-        dep = prev.arrival + prev.waiting + par.park_time
-        loc = by_id[prev.request_id].location
+    by_id = instance.requests_by_id
     order = [pickup, delivery]
-    order += [by_id[v.request_id] for v in visits[2 * gap:]]
+    try:
+        if gap == 0:
+            new_start = init_first_pair(pickup, delivery, instance).start_time
+            dep, loc = new_start, 0
+        else:
+            new_start = route.start_time
+            prev = visits[2 * gap - 1]
+            dep = prev.arrival + prev.waiting + par.park_time
+            loc = by_id[prev.request_id].location
+        order += [by_id[v.request_id] for v in visits[2 * gap:]]
+    except KeyError as exc:
+        raise UnknownRequest(f"no request with id {exc.args[0]}") from None
     _, dep, failures = propagate(instance, dep, loc, order)
     duration = dep + instance.distances[order[-1].location][0] * 60.0 / par.bike_speed - new_start
     feasible = not failures and duration <= par.duty_time + EPS

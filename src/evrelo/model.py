@@ -168,12 +168,14 @@ class Instance:
     # -- lookups ----------------------------------------------------------
 
     @cached_property
-    def _by_id(self):
+    def requests_by_id(self):
+        """Request id -> Request.  Unchecked: a missing id is a KeyError;
+        ``request`` is the checked lookup."""
         return {r.id: r for r in self.requests}
 
     def request(self, request_id):
         try:
-            return self._by_id[request_id]
+            return self.requests_by_id[request_id]
         except KeyError:
             raise UnknownRequest(f"no request with id {request_id}") from None
 

@@ -232,9 +232,22 @@ def test_delivery_zero_target_with_full_charge_is_feasible():
 
 def test_delivery_feasible_requires_held_ev():
     inst = single_pair_reference()
-    _, delivery = _reference_pair(inst)
+    pickup, delivery = _reference_pair(inst)
+    with pytest.raises(WrongKind):
+        delivery_feasible(_at_depot(0.0), delivery, inst)
+    with pytest.raises(WrongKind):
+        delivery_feasible(_holding(pickup, location=1, departure=128.0), pickup, inst)
     assert select_next(None, [delivery], GreedyPolicy.NEAREST, inst) is None
     assert select_next(_at_depot(0.0), [delivery], GreedyPolicy.NEAREST, inst) is None
+
+
+def test_pickup_feasible_refuses_a_held_ev():
+    inst = single_pair_reference()
+    pickup, delivery = _reference_pair(inst)
+    with pytest.raises(WrongKind):
+        pickup_feasible(_holding(pickup, location=1, departure=128.0), pickup, [delivery], inst)
+    with pytest.raises(WrongKind):
+        pickup_feasible(_at_depot(108.0), delivery, [delivery], inst)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs
 from evrelo import insertion
-from evrelo.errors import GapOutOfRange
+from evrelo.errors import GapOutOfRange, UnknownRequest
 from evrelo.feasibility import validate_route, validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
@@ -329,6 +329,18 @@ def test_gap_out_of_range():
         time_extension(route, 3, pair, inst)
     with pytest.raises(GapOutOfRange):
         apply_insertion(route, -1, pair, inst)
+
+
+def test_simulation_names_an_unknown_request():
+    inst, route, pair = _coincident_instance(park=1.0, load=1.0, second_open=50.0)
+    # the route serves requests 3 and 4, which this instance lacks
+    stranger = dataclasses.replace(
+        inst, requests=tuple(inst.request(i) for i in (1, 2, 5, 6)))
+    for gap in (0, 1, 2):
+        with pytest.raises(UnknownRequest):
+            time_extension(route, gap, pair, stranger)
+        with pytest.raises(UnknownRequest):
+            insertion_feasible(route, gap, pair, stranger)
 
 
 def test_best_insertion_minimal_extension():
