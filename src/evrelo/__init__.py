@@ -48,7 +48,6 @@ from .model import (
     RouteSchedule,
     ScheduledVisit,
     Solution,
-    evaluate_profit,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "ValidationResult",
     "Violation",
     "WrongKind",
-    "evaluate_profit",
     "generate",
     "load_instance",
     "load_solution",

@@ -19,6 +19,7 @@ from .exact import OracleLimits
 from .feasibility import validate_solution
 from .generator import make_benchmark
 from .io import load_instance, load_solution, save_instance, save_solution
+from .model import OBJECTIVES
 from .reporting import (
     ALGORITHMS,
     compare_table,
@@ -37,6 +38,9 @@ class _SolverCheckFailure(Exception):
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["csv", "text"]), default="text",
     show_default=True, help="Console output style.",
+)
+_OBJECTIVE = click.option(
+    "--objective", type=click.Choice(list(OBJECTIVES)), default="profit", show_default=True,
 )
 
 
@@ -76,8 +80,7 @@ def generate(set_name, count, seed, out, fmt):
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="rh",
               show_default=True)
-@click.option("--objective", type=click.Choice(["profit", "requests"]), default="profit",
-              show_default=True)
+@_OBJECTIVE
 @click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True,
               help="Randomized-restart count (rh only).")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -152,8 +155,7 @@ def _load_directory(bench_dir):
 @click.argument("bench_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--algorithms", default="nnh,muh,ch,rh", show_default=True,
               help="Comma-separated algorithm list.")
-@click.option("--objective", type=click.Choice(["profit", "requests"]), default="profit",
-              show_default=True)
+@_OBJECTIVE
 @click.option("--reference", type=click.Choice(list(ALGORITHMS)), default="exact",
               show_default=True)
 @click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True)
@@ -195,8 +197,7 @@ def compare(bench_dir, algorithms, objective, reference, iterations, seed, max_r
               help="Fixed revenue component values for the frc sweep.")
 @click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="rh",
               show_default=True)
-@click.option("--objective", type=click.Choice(["profit", "requests"]), default="profit",
-              show_default=True)
+@_OBJECTIVE
 @click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True)

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge
 from .feasibility import propagate, replay_route, validate_route
-from .model import EPS, RequestKind, assemble_solution, empty_solution
+from .model import (
+    EPS,
+    RequestKind,
+    assemble_solution,
+    check_objective,
+    empty_solution,
+    objective_value,
+)
 
 _TIE_TOL = 1e-9
 
@@ -167,8 +174,7 @@ def solve_exact(instance, objective="profit", limits=None):
     search, in which case the best solution found so far is flagged
     non-optimal.
     """
-    if objective not in ("profit", "requests"):
-        raise ValueError(f"unknown objective {objective!r}")
+    check_objective(objective)
     limits = limits if limits is not None else OracleLimits()
     n = len(instance.requests)
     if n > limits.max_requests:
@@ -180,28 +186,24 @@ def solve_exact(instance, objective="profit", limits=None):
         deadline = time.monotonic() + limits.time_budget
     mask_map, complete = _feasible_route_masks(instance, limits, deadline)
 
-    cost = instance.parameters.worker_cost
+    # What each request adds to the objective, and what each route costs.
+    profit = objective == "profit"
+    worth = {r.id: r.revenue if profit else 1.0 for r in instance.requests}
+    cost = instance.parameters.worker_cost if profit else 0.0
 
-    def route_value(ids):
-        if objective == "requests":
-            return float(len(ids))
-        return sum(instance.request(i).revenue for i in ids) - cost
+    def pool_value(ids):
+        return sum(worth[i] for i in ids)
 
     candidates = []
     for ids, route in mask_map.items():
-        value = route_value(ids)
-        if objective == "profit" and value <= _TIE_TOL:
-            continue  # can never raise profit; dropping keeps routes minimal
+        value = pool_value(ids) - cost
+        if value <= _TIE_TOL:
+            continue  # can never raise the objective; dropping keeps routes minimal
         candidates.append((value, tuple(sorted(ids)), frozenset(ids), route))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     suffix_ids = [frozenset()] * (len(candidates) + 1)
     for i in range(len(candidates) - 1, -1, -1):
         suffix_ids[i] = suffix_ids[i + 1] | candidates[i][2]
-
-    def pool_value(ids):
-        if objective == "requests":
-            return float(len(ids))
-        return sum(instance.request(i).revenue for i in ids)
 
     slots = instance.parameters.worker_count
     best = {"value": 0.0, "routes": 0, "key": (), "picks": ()}
@@ -258,12 +260,8 @@ def optimality_gap(heuristic, oracle, objective="profit"):
     (profit in currency, or requests served).  A zero oracle value yields
     0.0 when the heuristic is also zero and None (undefined) otherwise.
     """
-    if objective not in ("profit", "requests"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "requests":
-        ref, val = float(len(oracle.served)), float(len(heuristic.served))
-    else:
-        ref, val = oracle.profit, heuristic.profit
+    check_objective(objective)
+    ref, val = objective_value(oracle, objective), objective_value(heuristic, objective)
     if abs(ref) < 1e-12:
         return 0.0 if abs(val) < 1e-12 else None
     return (ref - val) / ref * 100.0

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .errors import WrongKind
 from .feasibility import propagate, replay_route, route_start_for_pickup
-from .model import EPS, Request, RequestKind, assemble_solution
+from .model import EPS, Request, RequestKind, assemble_solution, paying_routes
 
 
 class GreedyPolicy(enum.Enum):
@@ -178,6 +178,5 @@ def run_greedy(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
             break
         routes.append(replay_route(instance, position.start_time, order, worker=len(routes)))
     if drop_unprofitable:
-        cost = instance.parameters.worker_cost
-        routes = [r for r in routes if r.revenue(instance) >= cost - EPS]
+        routes = paying_routes(routes, instance)
     return assemble_solution(routes, instance)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from .errors import GapOutOfRange, UnknownRequest
 from .feasibility import propagate, replay_route, schedule_route
-from .model import EPS, RequestKind, assemble_solution
+from .model import (
+    EPS,
+    RequestKind,
+    assemble_solution,
+    check_objective,
+    objective_value,
+    paying_routes,
+)
 
 NEG_INF = float("-inf")
 
@@ -214,6 +221,14 @@ def _gap_count(route):
     return len(route.visits) // 2 + 1
 
 
+def _new_start(route, gap, pair, instance):
+    """The depot departure once ``pair`` is inserted at ``gap``: kept, except
+    at gap 0, where ``init_first_pair`` times the new first pair."""
+    if gap == 0:
+        return init_first_pair(pair[0], pair[1], instance).start_time
+    return route.start_time
+
+
 def _simulate_insertion(route, gap, pair, instance):
     """Work out the consequences of inserting ``pair`` at ``gap`` without
     touching the stored route.
@@ -223,7 +238,7 @@ def _simulate_insertion(route, gap, pair, instance):
     it), gap n appends after the last delivery, anything else goes between
     two existing pairs.
 
-    Returns (feasible, duration_change, new_start).  The schedule is
+    Returns (feasible, duration_change).  The schedule is
     propagated from the departure at the gap over the new pair and every
     later visit (never re-ordered), with the replay's own arithmetic, and
     the visits before the gap keep their stored values.  So ``feasible`` is
@@ -239,13 +254,12 @@ def _simulate_insertion(route, gap, pair, instance):
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
     par = instance.parameters
     by_id = instance.requests_by_id
+    new_start = _new_start(route, gap, pair, instance)
     order = [pickup, delivery]
     try:
         if gap == 0:
-            new_start = init_first_pair(pickup, delivery, instance).start_time
             dep, loc = new_start, 0
         else:
-            new_start = route.start_time
             prev = visits[2 * gap - 1]
             dep = prev.arrival + prev.waiting + par.park_time
             loc = by_id[prev.request_id].location
@@ -255,7 +269,7 @@ def _simulate_insertion(route, gap, pair, instance):
     _, dep, failures = propagate(instance, dep, loc, order)
     duration = dep + instance.distances[order[-1].location][0] * 60.0 / par.bike_speed - new_start
     feasible = not failures and duration <= par.duty_time + EPS
-    return feasible, duration - route.duration, new_start
+    return feasible, duration - route.duration
 
 
 def time_extension(route, gap, pair, instance):
@@ -266,7 +280,7 @@ def time_extension(route, gap, pair, instance):
     shift this reduces to the plain sum of the added legs minus the waiting
     swallowed along the way.
     """
-    _, duration_change, _ = _simulate_insertion(route, gap, pair, instance)
+    _, duration_change = _simulate_insertion(route, gap, pair, instance)
     return duration_change
 
 
@@ -277,7 +291,7 @@ def insertion_feasible(route, gap, pair, instance):
     applied insertion replays clean through the validator, duty time
     included.
     """
-    feasible, _, _ = _simulate_insertion(route, gap, pair, instance)
+    feasible, _ = _simulate_insertion(route, gap, pair, instance)
     return feasible
 
 
@@ -288,7 +302,6 @@ def apply_insertion(route, gap, pair, instance):
     n = len(visits) // 2
     if not 0 <= gap <= n:
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
-    _, _, new_start = _simulate_insertion(route, gap, pair, instance)
     order = []
     for i in range(n):
         if i == gap:
@@ -299,7 +312,8 @@ def apply_insertion(route, gap, pair, instance):
         ]
     if gap == n:
         order += [pickup, delivery]
-    return replay_route(instance, new_start, order, worker=route.worker)
+    start = _new_start(route, gap, pair, instance)
+    return replay_route(instance, start, order, worker=route.worker)
 
 
 def best_insertion(route, pair, instance):
@@ -308,7 +322,7 @@ def best_insertion(route, pair, instance):
     admits the pair."""
     best = None
     for gap in range(_gap_count(route)):
-        feasible, change, _ = _simulate_insertion(route, gap, pair, instance)
+        feasible, change = _simulate_insertion(route, gap, pair, instance)
         if feasible and (best is None or change < best.time_extension - EPS):
             best = InsertionCandidate(pair[0].id, pair[1].id, gap, change)
     return best
@@ -329,20 +343,13 @@ class RhConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.objective not in ("profit", "requests"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+        check_objective(self.objective)
 
 
 def _orient(request, partner):
     if request.kind is RequestKind.PICKUP:
         return request, partner
     return partner, request
-
-
-def _drop_unprofitable(routes, instance):
-    """Remove routes whose revenue does not cover the worker cost."""
-    cost = instance.parameters.worker_cost
-    return [r for r in routes if r.revenue(instance) >= cost - EPS]
 
 
 def _construct(instance, retained, partners, choose, worker_limit):
@@ -428,27 +435,23 @@ def _urgency_order(partners):
     return pick
 
 
-def run_ch(instance, objective="profit", drop_unprofitable=None):
+def run_ch(instance, objective="profit"):
     """Urgency-first construction.
 
     Serves the hardest request first: the unserved request of lowest urgency
     score is coupled with its nearest compatible partner and inserted where
     it extends the open route least; requests that lose their last partner
     are given up.  With the profit objective, routes that do not pay for
-    their worker are discarded at the end (disable via
-    ``drop_unprofitable=False``).
+    their worker are discarded at the end.
     """
-    if objective not in ("profit", "requests"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if drop_unprofitable is None:
-        drop_unprofitable = objective == "profit"
+    check_objective(objective)
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
     routes, _ = _construct(
         instance, retained, partners, _urgency_order(partners), instance.parameters.worker_count
     )
-    if drop_unprofitable:
-        routes = _drop_unprofitable(routes, instance)
+    if objective == "profit":
+        routes = paying_routes(routes, instance)
     return assemble_solution(routes, instance)
 
 
@@ -526,7 +529,6 @@ def run_rh(instance, config=None):
     config = config or RhConfig()
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
-    drop = config.objective == "profit"
     limit = instance.parameters.worker_count
     built = _DrawTrie(width=max(len(retained), 1))
     best = None
@@ -547,10 +549,10 @@ def run_rh(instance, config=None):
 
         routes, _ = _construct(instance, retained, partners, pick, limit)
         built.record(path)
-        if drop:
-            routes = _drop_unprofitable(routes, instance)
+        if config.objective == "profit":
+            routes = paying_routes(routes, instance)
         solution = assemble_solution(routes, instance)
-        value = solution.profit if config.objective == "profit" else len(solution.served)
+        value = objective_value(solution, config.objective)
         if best is None or value > best_value:
             best, best_value = solution, value
     return best

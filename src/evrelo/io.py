@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,23 +27,16 @@ from .model import (
     RouteSchedule,
     ScheduledVisit,
     Solution,
+    matrix_shape_violations,
+    parameter_violations,
+    request_set_violations,
 )
 
 FORMAT_VERSION = 1
 
-_PARAMETER_FIELDS = (
-    "duty_time",
-    "ev_speed",
-    "bike_speed",
-    "park_time",
-    "load_time",
-    "full_range",
-    "recharge_time",
-    "worker_count",
-    "worker_cost",
+_PARAMETER_FIELDS, _REQUEST_FIELDS, _REVENUE_FIELDS = (
+    tuple(f.name for f in fields(cls)) for cls in (Parameters, Request, RevenueModel)
 )
-_REQUEST_FIELDS = ("id", "kind", "location", "tw_min", "tw_max", "battery", "revenue")
-_REVENUE_FIELDS = ("kind", "amount", "rate_per_min", "rent_min", "rent_max", "frc")
 
 
 def _field(mapping, name, kinds, where):
@@ -87,30 +82,23 @@ def _write_json(document, path):
 # ---------------------------------------------------------------------------
 
 def instance_to_dict(instance):
-    doc = {
+    # Fields are read with getattr, not ``vars``: on CPython 3.11 ``vars``
+    # materialises an object's attribute dict, after which every attribute
+    # read of it is slower.
+    model = instance.revenue_model
+    return {
         "format_version": FORMAT_VERSION,
         "parameters": {f: getattr(instance.parameters, f) for f in _PARAMETER_FIELDS},
         "requests": [
-            {
-                "id": r.id,
-                "kind": r.kind.value,
-                "location": r.location,
-                "tw_min": r.tw_min,
-                "tw_max": r.tw_max,
-                "battery": r.battery,
-                "revenue": r.revenue,
-            }
+            {f: getattr(r, f) for f in _REQUEST_FIELDS} | {"kind": r.kind.value}
             for r in instance.requests
         ],
         "distances": [list(row) for row in instance.distances],
-        "revenue_model": None,
+        "revenue_model": None if model is None else {
+            f: getattr(model, f) for f in _REVENUE_FIELDS
+        },
         "provenance": instance.provenance,
     }
-    if instance.revenue_model is not None:
-        doc["revenue_model"] = {
-            f: getattr(instance.revenue_model, f) for f in _REVENUE_FIELDS
-        }
-    return doc
 
 
 def save_instance(instance, path):
@@ -135,25 +123,16 @@ def _triangle_violations(distances):
 
 
 def _collect_instance_violations(params, requests, distances):
-    """Every broken semantic invariant of the raw document, as messages."""
-    bad = []
-    for name in _PARAMETER_FIELDS:
-        if not math.isfinite(params[name]):
-            bad.append(f"parameters.{name} must be finite, got {params[name]}")
-    for name in _PARAMETER_FIELDS[:3] + _PARAMETER_FIELDS[5:7]:
-        if params[name] <= 0:
-            bad.append(f"parameters.{name} must be strictly positive, got {params[name]}")
-    for name in ("park_time", "load_time", "worker_cost"):
-        if params[name] < 0:
-            bad.append(f"parameters.{name} must be non-negative, got {params[name]}")
-    if params["worker_count"] < 1:
-        bad.append(f"parameters.worker_count must be at least 1, got {params['worker_count']}")
+    """Every broken semantic invariant of the raw document, as messages.
 
+    The rules an instance shares with ``model`` come from there; the
+    matrix entries are checked only here, on outside input, since the
+    triangle check alone costs O(n^3)."""
+    bad = parameter_violations(SimpleNamespace(**params))
     n = len(distances)
-    for i, row in enumerate(distances):
-        if len(row) != n:
-            bad.append(f"distances row {i} has {len(row)} entries, expected {n}")
-    if all(len(row) == n for row in distances):
+    shape = matrix_shape_violations(distances)
+    bad += shape
+    if not shape:
         finite = True
         for i in range(n):
             if abs(distances[i][i]) > EPS:
@@ -167,24 +146,8 @@ def _collect_instance_violations(params, requests, distances):
         # Only on finite entries: a NaN would fail every comparison.
         if finite:
             bad.extend(_triangle_violations(distances))
-
-    seen = set()
-    for r in requests:
-        label = f"request {r['id']}"
-        if r["id"] in seen:
-            bad.append(f"{label}: duplicate id")
-        seen.add(r["id"])
-        for name in ("tw_min", "tw_max", "battery", "revenue"):
-            if not math.isfinite(r[name]):
-                bad.append(f"{label}: {name} must be finite, got {r[name]}")
-        if r["tw_min"] > r["tw_max"]:
-            bad.append(f"{label}: tw_min {r['tw_min']} exceeds tw_max {r['tw_max']}")
-        if not 0.0 <= r["battery"] <= 1.0:
-            bad.append(f"{label}: battery {r['battery']} outside [0, 1]")
-        if r["revenue"] < 0:
-            bad.append(f"{label}: negative revenue")
-        if not 1 <= r["location"] < max(n, 1):
-            bad.append(f"{label}: location {r['location']} outside the distance matrix")
+    records = [SimpleNamespace(**r) for r in requests]
+    bad += [message for _, message in request_set_violations(records, n)]
     return bad
 
 
@@ -251,18 +214,7 @@ def load_instance(path):
 
     return Instance(
         parameters=Parameters(**params),
-        requests=tuple(
-            Request(
-                id=r["id"],
-                kind=RequestKind(r["kind"]),
-                location=r["location"],
-                tw_min=r["tw_min"],
-                tw_max=r["tw_max"],
-                battery=r["battery"],
-                revenue=r["revenue"],
-            )
-            for r in requests
-        ),
+        requests=tuple(Request(**{**r, "kind": RequestKind(r["kind"])}) for r in requests),
         distances=tuple(tuple(row) for row in distances),
         revenue_model=revenue_model,
         provenance=doc.get("provenance"),

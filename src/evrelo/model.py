@@ -1,4 +1,5 @@
-"""Problem data model: parameters, requests, instances, routes and solutions.
+"""Problem data model: parameters, requests, instances, routes and solutions,
+the rules an instance keeps and the objectives a solve maximises.
 
 Conventions used throughout the package:
 
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
-from .errors import IndexOutOfRange, UnknownRequest
+from .errors import IndexOutOfRange, InvalidInstance, UnknownRequest
 
 #: Tolerance, in minutes (or charge fraction), absorbed by all feasibility
 #: comparisons so that chained floating-point schedule propagation never flips
@@ -29,6 +30,68 @@ EPS = 1e-6
 class RequestKind(enum.Enum):
     PICKUP = "pickup"
     DELIVERY = "delivery"
+
+
+# ---------------------------------------------------------------------------
+# Instance rules.  The constructors below raise on the first broken rule;
+# ``io.load_instance`` reports every one at once.
+# ---------------------------------------------------------------------------
+
+def parameter_violations(p):
+    """Every broken rule of a parameter set, as messages; ``p`` has the
+    ``Parameters`` fields as attributes."""
+    values = {f.name: getattr(p, f.name) for f in fields(Parameters)}
+    # A NaN fails every comparison, so it would pass each later check.
+    bad = [f"parameters.{name} must be finite, got {value}"
+           for name, value in values.items() if not math.isfinite(value)]
+    bad += [f"parameters.{name} must be strictly positive, got {values[name]}"
+            for name in ("duty_time", "ev_speed", "bike_speed", "full_range", "recharge_time")
+            if values[name] <= 0]
+    # Handling times may be zero (instant swap), never negative.
+    bad += [f"parameters.{name} must be non-negative, got {values[name]}"
+            for name in ("park_time", "load_time", "worker_cost") if values[name] < 0]
+    if values["worker_count"] < 1:
+        bad.append(f"parameters.worker_count must be at least 1, got {values['worker_count']}")
+    return bad
+
+
+def request_violations(r):
+    """Every broken rule of one request's own fields, as messages; ``r`` has
+    the ``Request`` fields as attributes."""
+    bad = [f"{name} must be finite, got {getattr(r, name)}"
+           for name in ("tw_min", "tw_max", "battery", "revenue")
+           if not math.isfinite(getattr(r, name))]
+    if r.tw_min > r.tw_max:
+        bad.append(f"tw_min {r.tw_min} exceeds tw_max {r.tw_max}")
+    if not 0.0 <= r.battery <= 1.0:
+        bad.append(f"battery {r.battery} outside [0, 1]")
+    if r.revenue < 0:
+        bad.append("negative revenue")
+    return [f"request {r.id}: {message}" for message in bad]
+
+
+def matrix_shape_violations(distances):
+    """A message for every row of ``distances`` that breaks squareness."""
+    n = len(distances)
+    return [f"distances row {i} has {len(row)} entries, expected {n}"
+            for i, row in enumerate(distances) if len(row) != n]
+
+
+def request_set_violations(requests, n):
+    """Every broken rule of a request set on an ``n``-location matrix, as
+    (error type, message) pairs, request by request: a repeated id, the
+    request's own fields, a location outside 1..n-1 (row 0 is the depot)."""
+    bad = []
+    seen = set()
+    for r in requests:
+        if r.id in seen:
+            bad.append((InvalidInstance, f"request {r.id}: duplicate id"))
+        seen.add(r.id)
+        bad += [(ValueError, message) for message in request_violations(r)]
+        if not 1 <= r.location < n:
+            bad.append((IndexOutOfRange,
+                        f"request {r.id}: location {r.location} outside the distance matrix"))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -57,22 +120,8 @@ class Parameters:
     worker_cost: float = 60.0
 
     def __post_init__(self):
-        # A NaN fails every comparison, so it would pass each check below.
-        for name in ("duty_time", "ev_speed", "bike_speed", "park_time", "load_time",
-                     "full_range", "recharge_time", "worker_cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("duty_time", "ev_speed", "bike_speed", "full_range", "recharge_time"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        # Handling times may be zero (instant swap), never negative.
-        for name in ("park_time", "load_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
-        if self.worker_cost < 0:
-            raise ValueError("worker_cost must be non-negative")
+        for message in parameter_violations(self):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -94,21 +143,8 @@ class Request:
     revenue: float
 
     def __post_init__(self):
-        for name in ("tw_min", "tw_max", "battery", "revenue"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"request {self.id}: {name} must be finite")
-        if self.tw_min > self.tw_max:
-            raise ValueError(f"request {self.id}: tw_min exceeds tw_max")
-        if not 0.0 <= self.battery <= 1.0:
-            raise ValueError(f"request {self.id}: battery outside [0, 1]")
-        if self.revenue < 0:
-            raise ValueError(f"request {self.id}: negative revenue")
-        if self.location < 0:
-            raise ValueError(f"request {self.id}: negative location index")
-
-    @property
-    def is_pickup(self):
-        return self.kind is RequestKind.PICKUP
+        for message in request_violations(self):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -145,8 +181,9 @@ class RevenueModel:
 class Instance:
     """An immutable problem instance, safe to share between solver runs.
 
-    Every request location is checked against the distance matrix here, so
-    solver hot paths may index ``distances`` directly.
+    The matrix must be square, request ids unique and every request location
+    a non-depot row of the matrix, so solver hot paths may index
+    ``distances`` directly and ``request`` names one request.
     """
 
     parameters: Parameters
@@ -158,12 +195,10 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "requests", tuple(self.requests))
         object.__setattr__(self, "distances", tuple(tuple(row) for row in self.distances))
-        n = len(self.distances)
-        for r in self.requests:
-            if r.location >= n:
-                raise IndexOutOfRange(
-                    f"request {r.id}: location {r.location} outside matrix of size {n}"
-                )
+        for message in matrix_shape_violations(self.distances):
+            raise InvalidInstance(message)
+        for error, message in request_set_violations(self.requests, len(self.distances)):
+            raise error(message)
 
     # -- lookups ----------------------------------------------------------
 
@@ -186,10 +221,6 @@ class Instance:
     @property
     def deliveries(self):
         return tuple(r for r in self.requests if r.kind is RequestKind.DELIVERY)
-
-    @property
-    def n_locations(self):
-        return len(self.distances)
 
     def distance(self, origin, destination):
         n = len(self.distances)
@@ -301,25 +332,6 @@ def assemble_solution(routes, instance, optimal=None):
     )
 
 
-def evaluate_profit(solution, instance):
-    """Recompute profit from first principles: served revenue minus the
-    per-route worker cost.
-
-    Raises UnknownRequest when the solution serves an id the instance lacks,
-    and ValueError when the stored profit disagrees with the recomputation
-    (a solution that inconsistent was assembled by hand or corrupted).
-    """
-    revenue = 0.0
-    for rid in solution.served:
-        revenue += instance.request(rid).revenue
-    profit = revenue - instance.parameters.worker_cost * len(solution.routes)
-    if abs(profit - solution.profit) > EPS:
-        raise ValueError(
-            f"stored profit {solution.profit} disagrees with recomputed {profit}"
-        )
-    return profit
-
-
 def empty_solution(instance, optimal=None):
     """The solution that serves nothing; profit is zero by definition."""
     return Solution(
@@ -331,3 +343,30 @@ def empty_solution(instance, optimal=None):
         profit=0.0,
         optimal=optimal,
     )
+
+
+# ---------------------------------------------------------------------------
+# Objectives.
+# ---------------------------------------------------------------------------
+
+#: What a solve maximises: net profit (served revenue minus the cost of each
+#: worker used), or the number of requests served.
+OBJECTIVES = ("profit", "requests")
+
+
+def check_objective(objective):
+    """Raise ValueError unless ``objective`` is one of ``OBJECTIVES``."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+
+
+def objective_value(solution, objective):
+    """The value of ``solution`` under ``objective``; higher is better."""
+    return solution.profit if objective == "profit" else float(len(solution.served))
+
+
+def paying_routes(routes, instance):
+    """The routes whose revenue covers their worker's cost; under the profit
+    objective any other route only lowers the profit."""
+    cost = instance.parameters.worker_cost
+    return [r for r in routes if r.revenue(instance) >= cost - EPS]

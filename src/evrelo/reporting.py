@@ -18,12 +18,14 @@ from .exact import OracleLimits, optimality_gap, solve_exact
 from .generator import reprice_frc
 from .greedy import GreedyPolicy, run_greedy
 from .insertion import RhConfig, run_ch, run_rh
+from .model import check_objective, objective_value
 
 ALGORITHMS = ("nnh", "muh", "ch", "rh", "exact")
 
 
 def run_algorithm(name, instance, objective="profit", seed=0, iterations=10000, limits=None):
     """Run one solver and return (solution, wall seconds of the call)."""
+    check_objective(objective)
     started = time.perf_counter()
     if name == "nnh":
         solution = run_greedy(
@@ -42,10 +44,6 @@ def run_algorithm(name, instance, objective="profit", seed=0, iterations=10000, 
     else:
         raise ValueError(f"unknown algorithm {name!r}")
     return solution, time.perf_counter() - started
-
-
-def _objective_value(solution, objective):
-    return solution.profit if objective == "profit" else float(len(solution.served))
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def compare_table(labeled_instances, algorithms, objective="profit", reference="
         except InstanceTooLarge as exc:
             skipped.append((label, str(exc)))
             continue
-        ref_value = _objective_value(ref_solution, objective)
+        ref_value = objective_value(ref_solution, objective)
         for name in algorithms:
             if name == reference:
                 solution, cpu = ref_solution, ref_cpu
@@ -106,7 +104,7 @@ def compare_table(labeled_instances, algorithms, objective="profit", reference="
                 ComparisonRow(
                     instance=label,
                     algorithm=name,
-                    objective_value=_objective_value(solution, objective),
+                    objective_value=objective_value(solution, objective),
                     reference_value=ref_value,
                     gap_pct=optimality_gap(solution, ref_solution, objective),
                     delta_workers=len(ref_solution.routes) - len(solution.routes),
@@ -175,56 +173,42 @@ def write_comparison_csv(rows, algorithms, path):
         writer.writerow(line)
 
 
+def _sensitivity_row(parameter, value, label, instance, algorithm, objective, **run):
+    """Solve ``instance`` with ``algorithm`` and report it at the swept value."""
+    solution, cpu = run_algorithm(algorithm, instance, objective, **run)
+    total = len(instance.requests)
+    return SensitivityRow(
+        parameter=parameter,
+        value=float(value),
+        instance=label,
+        algorithm=algorithm,
+        profit=solution.profit,
+        served=len(solution.served),
+        served_pct=100.0 * len(solution.served) / total if total else 0.0,
+        workers=len(solution.routes),
+        cpu_seconds=cpu,
+    )
+
+
 def frc_sweep(labeled_instances, frc_values, algorithm="rh", seed=0, iterations=10000,
               limits=None, objective="profit"):
     """Re-price the fixed revenue component and re-solve at every value."""
-    rows = []
-    for value in frc_values:
-        for label, instance in labeled_instances:
-            repriced = reprice_frc(instance, value)
-            solution, cpu = run_algorithm(
-                algorithm, repriced, objective, seed=seed, iterations=iterations, limits=limits
-            )
-            total = len(repriced.requests)
-            rows.append(
-                SensitivityRow(
-                    parameter="frc",
-                    value=float(value),
-                    instance=label,
-                    algorithm=algorithm,
-                    profit=solution.profit,
-                    served=len(solution.served),
-                    served_pct=100.0 * len(solution.served) / total if total else 0.0,
-                    workers=len(solution.routes),
-                    cpu_seconds=cpu,
-                )
-            )
-    return rows
+    return [
+        _sensitivity_row("frc", value, label, reprice_frc(instance, value), algorithm, objective,
+                         seed=seed, iterations=iterations, limits=limits)
+        for value in frc_values
+        for label, instance in labeled_instances
+    ]
 
 
 def size_sweep(labeled_instances, algorithm="rh", seed=0, iterations=10000,
                limits=None, objective="profit"):
     """Solve each instance and report against its size (request count)."""
-    rows = []
-    for label, instance in labeled_instances:
-        solution, cpu = run_algorithm(
-            algorithm, instance, objective, seed=seed, iterations=iterations, limits=limits
-        )
-        total = len(instance.requests)
-        rows.append(
-            SensitivityRow(
-                parameter="size",
-                value=float(total),
-                instance=label,
-                algorithm=algorithm,
-                profit=solution.profit,
-                served=len(solution.served),
-                served_pct=100.0 * len(solution.served) / total if total else 0.0,
-                workers=len(solution.routes),
-                cpu_seconds=cpu,
-            )
-        )
-    return rows
+    return [
+        _sensitivity_row("size", len(instance.requests), label, instance, algorithm, objective,
+                         seed=seed, iterations=iterations, limits=limits)
+        for label, instance in labeled_instances
+    ]
 
 
 def write_sensitivity_csv(rows, path):

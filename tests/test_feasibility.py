@@ -430,6 +430,10 @@ def test_validate_solution_accounting_and_coverage():
     codes = {v.code for v in validate_solution(missing, inst).violations}
     assert "served_set" in codes
 
+    stranger = dataclasses.replace(sol, served=sol.served | {99})
+    codes = {v.code for v in validate_solution(stranger, inst).violations}
+    assert "unknown_request" in codes
+
 
 def test_validate_empty_solution_ok():
     inst = single_pair_reference()

@@ -18,7 +18,6 @@ from evrelo.insertion import (
     _construct,
     _first_pair,
     _simulate_insertion,
-    _drop_unprofitable,
     _orient,
     _urgency_order,
     apply_insertion,
@@ -34,7 +33,14 @@ from evrelo.insertion import (
     run_rh,
     time_extension,
 )
-from evrelo.model import Instance, Parameters, Request, RequestKind, assemble_solution
+from evrelo.model import (
+    Instance,
+    Parameters,
+    Request,
+    RequestKind,
+    assemble_solution,
+    paying_routes,
+)
 
 
 def _instance(requests, distances, **params):
@@ -341,6 +347,8 @@ def test_simulation_names_an_unknown_request():
             time_extension(route, gap, pair, stranger)
         with pytest.raises(UnknownRequest):
             insertion_feasible(route, gap, pair, stranger)
+        with pytest.raises(UnknownRequest):
+            apply_insertion(route, gap, pair, stranger)
 
 
 def test_best_insertion_minimal_extension():
@@ -449,7 +457,7 @@ def _rh_every_iteration(instance, config):
         routes, _ = _construct(instance, retained, partners, pick,
                                instance.parameters.worker_count)
         if config.objective == "profit":
-            routes = _drop_unprofitable(routes, instance)
+            routes = paying_routes(routes, instance)
         solution = assemble_solution(routes, instance)
         value = solution.profit if config.objective == "profit" else len(solution.served)
         yield value, solution, tuple(draws)
@@ -642,7 +650,7 @@ def test_simulation_is_apply_and_validate_at_every_gap(seed):
             if pair[0].id in served:
                 continue
             for gap in range(len(route.visits) // 2 + 1):
-                feasible, change, _ = _simulate_insertion(route, gap, pair, instance)
+                feasible, change = _simulate_insertion(route, gap, pair, instance)
                 applied = apply_insertion(route, gap, pair, instance)
                 assert feasible == validate_route(applied, instance).ok
                 assert change == applied.duration - route.duration

@@ -22,7 +22,7 @@ from evrelo.io import (
     save_solution,
     solution_to_dict,
 )
-from evrelo.model import RevenueModel
+from evrelo.model import Parameters, Request, RequestKind, RevenueModel
 from evrelo.reporting import (
     ALGORITHMS,
     compare_table,
@@ -271,6 +271,35 @@ def test_location_outside_matrix_rejected(tmp_path):
     assert any("location" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("parameters", "duty_time", float("nan")),
+    ("parameters", "ev_speed", 0.0),
+    ("parameters", "park_time", -1.0),
+    ("parameters", "worker_count", 0),
+    ("parameters", "worker_cost", -1.0),
+    ("requests", "tw_max", float("inf")),
+    ("requests", "tw_min", 1000.0),
+    ("requests", "battery", 1.5),
+    ("requests", "revenue", -1.0),
+])
+def test_load_reports_the_constructor_message(tmp_path, section, name, value):
+    doc = instance_to_dict(single_pair_reference())
+    if section == "parameters":
+        doc["parameters"][name] = value
+        with pytest.raises(ValueError) as built:
+            Parameters(**doc["parameters"])
+    else:
+        raw = doc["requests"][0]
+        raw[name] = value
+        with pytest.raises(ValueError) as built:
+            Request(**{**raw, "kind": RequestKind(raw["kind"])})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InvariantViolation) as loaded:
+        load_instance(path)
+    assert loaded.value.violations == [str(built.value)]
+
+
 # ---------------------------------------------------------------------------
 # Algorithm runner and tables.
 # ---------------------------------------------------------------------------
@@ -284,6 +313,12 @@ def test_run_algorithm_names_cover_every_solver():
         assert validate_solution(solution, inst).ok
     with pytest.raises(ValueError):
         run_algorithm("simplex", inst)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_rejects_an_unknown_objective(name):
+    with pytest.raises(ValueError, match="unknown objective"):
+        run_algorithm(name, single_pair_reference(), objective="fastest", iterations=1)
 
 
 def test_compare_table_skips_oversized_instances():

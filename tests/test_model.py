@@ -1,13 +1,14 @@
 """Data-model units: travel-time conversion, profit accounting, solution
 assembly and the validation baked into the dataclasses."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from conftest import euclidean_matrix, synthetic_instance
-from evrelo.errors import IndexOutOfRange, UnknownRequest
+from evrelo.errors import IndexOutOfRange, InvalidInstance, UnknownRequest
 from evrelo.model import (
     EPS,
     Instance,
@@ -17,10 +18,8 @@ from evrelo.model import (
     RevenueModel,
     RouteSchedule,
     ScheduledVisit,
-    Solution,
     assemble_solution,
     empty_solution,
-    evaluate_profit,
 )
 
 
@@ -87,7 +86,6 @@ def test_empty_solution_profit_zero():
     assert sol.profit == 0.0
     assert sol.served == frozenset()
     assert sol.rejected == {1, 2}
-    assert evaluate_profit(sol, inst) == 0.0
 
 
 def _route(visit_ids, start=0.0, end=100.0, worker=0):
@@ -107,7 +105,6 @@ def test_one_route_four_requests_ten_each_cost_thirty():
                          params=Parameters(worker_cost=30.0), amount=10.0)
     sol = assemble_solution([_route([1, 2, 3, 4])], inst)
     assert sol.profit == 10.0
-    assert evaluate_profit(sol, inst) == 10.0
 
 
 def test_two_routes_six_requests_ten_each_cost_thirty():
@@ -136,29 +133,6 @@ def test_assemble_rejects_duplicate_service():
     inst = two_station_instance()
     with pytest.raises(ValueError):
         assemble_solution([_route([1, 2]), _route([1, 2])], inst)
-
-
-def test_evaluate_profit_flags_inconsistent_stored_profit():
-    inst = two_station_instance()
-    sol = assemble_solution([_route([1, 2])], inst)
-    tampered = Solution(
-        routes=sol.routes,
-        served=sol.served,
-        rejected=sol.rejected,
-        total_revenue=sol.total_revenue,
-        worker_cost=sol.worker_cost,
-        profit=sol.profit + 5.0,
-    )
-    with pytest.raises(ValueError):
-        evaluate_profit(tampered, inst)
-
-
-def test_evaluate_profit_unknown_request():
-    inst = two_station_instance()
-    bogus = Solution(routes=(), served=frozenset({99}), rejected=frozenset(),
-                     total_revenue=0.0, worker_cost=0.0, profit=0.0)
-    with pytest.raises(UnknownRequest):
-        evaluate_profit(bogus, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +218,19 @@ def test_instance_rejects_request_location_outside_matrix():
 
     # Location 2 is the last row of the 3-by-3 matrix.
     assert with_pickup_at(2).request(3).location == 2
-    for location in (3, 7):
+    # Location 0 is the depot.
+    for location in (0, 3, 7):
         with pytest.raises(IndexOutOfRange, match="request 3"):
             with_pickup_at(location)
+
+
+def test_instance_rejects_a_duplicate_id_and_a_ragged_matrix():
+    inst = two_station_instance()
+    twin = dataclasses.replace(inst.request(2), id=1)
+    with pytest.raises(InvalidInstance, match="request 1: duplicate id"):
+        flat_instance((inst.request(1), twin), inst.distances)
+    with pytest.raises(InvalidInstance, match="row 1 has 1 entries, expected 2"):
+        flat_instance((inst.request(1),), ((0.0, 1.0), (1.0,)))
 
 
 def test_instance_distance_checks_both_indices():
@@ -287,4 +271,4 @@ def test_synthetic_instance_round_numbers():
     assert len(inst.requests) == 8
     assert len(inst.pickups) == 4
     assert len(inst.deliveries) == 4
-    assert inst.n_locations == 9
+    assert len(inst.distances) == 9
