@@ -42,6 +42,11 @@ _FORMAT = click.option(
 _OBJECTIVE = click.option(
     "--objective", type=click.Choice(list(OBJECTIVES)), default="profit", show_default=True,
 )
+_ITERATIONS = click.option(
+    "--iterations", type=click.IntRange(min=1), default=10000, show_default=True,
+    help="Most randomized restarts (rh only); rh stops sooner, with the same "
+         "result, once its draws can reach no construction it has not built.",
+)
 
 
 @click.group()
@@ -81,8 +86,7 @@ def generate(set_name, count, seed, out, fmt):
 @click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="rh",
               show_default=True)
 @_OBJECTIVE
-@click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True,
-              help="Randomized-restart count (rh only).")
+@_ITERATIONS
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True,
               help="Instance size cap of the exact search (exact only).")
@@ -158,7 +162,7 @@ def _load_directory(bench_dir):
 @_OBJECTIVE
 @click.option("--reference", type=click.Choice(list(ALGORITHMS)), default="exact",
               show_default=True)
-@click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True)
+@_ITERATIONS
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
@@ -198,7 +202,7 @@ def compare(bench_dir, algorithms, objective, reference, iterations, seed, max_r
 @click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="rh",
               show_default=True)
 @_OBJECTIVE
-@click.option("--iterations", type=click.IntRange(min=1), default=10000, show_default=True)
+@_ITERATIONS
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,

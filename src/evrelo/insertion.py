@@ -356,9 +356,11 @@ def _construct(instance, retained, partners, choose, worker_limit):
     """Shared construction skeleton of the deterministic and randomized
     drivers.
 
-    ``choose`` picks the next request to place from the currently placeable
-    candidates; everything after that choice - partner coupling, first-pair
-    timing, cheapest-gap insertion - is common.  A route closes when no
+    ``choose(candidates, unserved, instance, current, routes)`` picks the
+    next request to place from the currently placeable candidates, given
+    the open route (None while none is open) and the list of closed routes;
+    everything after that choice - partner coupling, first-pair timing,
+    cheapest-gap insertion - is common.  A route closes when no
     candidate fits it; construction ends when a fresh route cannot take any
     pair or the workers run out.
 
@@ -389,7 +391,7 @@ def _construct(instance, retained, partners, choose, worker_limit):
                 if len(routes) < worker_limit and unserved:
                     continue
             break
-        rid = choose(candidates, unserved, instance)
+        rid = choose(candidates, unserved, instance, current, routes)
         request = unserved[rid]
         partner = next(p for p in partners[rid] if p.id in unserved)
         pickup, delivery = _orient(request, partner)
@@ -425,7 +427,7 @@ def _construct(instance, retained, partners, choose, worker_limit):
 def _urgency_order(partners):
     """Picker of the most urgent candidate: lowest score, then lowest id."""
 
-    def pick(candidates, unserved, instance):
+    def pick(candidates, unserved, instance, current, routes):
         scored = []
         for rid in candidates:
             live = [p for p in partners[rid] if p.id in unserved]
@@ -456,58 +458,126 @@ def run_ch(instance, objective="profit"):
 
 
 _TRIE_NODE_CAP = 1 << 16
+_BLOCKED = -1
+_FINISHED = -2
 
 
 class _DrawTrie:
-    """The draw sequences of the constructions one ``run_rh`` call built.
+    """The draw graph of the constructions one ``run_rh`` call built.
 
-    ``_construct`` is a pure function of the indices the picker draws, so a
-    sequence recorded here to its end names a construction already built.
-    Node 0 is the empty sequence; ``counts[node]`` is the number of
-    candidates offered at the node's draw, 0 where the construction
-    finished; the child reached by ``draw`` is ``children[node * width +
-    draw]``.  At most ``_TRIE_NODE_CAP`` nodes are kept: a long construction
-    makes hundreds of draws, so an unbounded trie grows by tens of kilobytes
-    per iteration.
+    A node is a construction state at a pick with nothing blocked: the
+    first pick, and each pick after a placement or a route close.  The rest
+    of the construction then depends only on the closed and the open
+    routes (the unserved requests are the retained ones not served that
+    keep an unserved partner), so a node is keyed by the number of closed
+    routes and the routes, each as (start time, visit order), and
+    constructions that reach the same state share it.
+
+    Whether an attempt is placed does not depend on what else is blocked,
+    so ``rows[node][position]`` records once where trying the node's
+    candidate at ``position`` leads: ``_BLOCKED``, the next node, or
+    ``_FINISHED`` when the construction ends; None until tried.  The last
+    slot records where the route close after every candidate was blocked
+    leads.  ``_construct`` is a pure function of the draws, so a walk along
+    recorded slots to ``_FINISHED`` repeats a construction already built.
+
+    ``open`` counts the candidates of recorded nodes not tried yet; at 0,
+    every walk ends on a finished construction.  (A close needs no count:
+    the construction that reaches it records it.)  The graph holds at most
+    ``_TRIE_NODE_CAP`` slots, a key counting one per route it names, so
+    memory stays bounded at any iteration count.  A node refused for the
+    cap leaves its slot open for good.
     """
 
-    def __init__(self, width):
-        self.width = width
-        self.counts = []
-        self.children = {}
+    def __init__(self):
+        self.rows = []
+        self.states = {}
+        self.held = 0
+        self.open = 0
 
     def walk(self, rng):
-        """Draw from ``rng`` along the recorded sequences, exactly as the
+        """Draw from ``rng`` along the recorded slots, exactly as the
         construction would.  Returns (built, path): ``built`` is True when
         the draws end on a finished construction; ``path`` lists the
         (candidate count, draw) pairs made, a prefix to replay otherwise."""
         path = []
-        node = 0 if self.counts else None
-        while node is not None:
-            count = self.counts[node]
-            if not count:
-                return True, path
-            draw = rng.randrange(count)
-            path.append((count, draw))
-            node = self.children.get(node * self.width + draw)
-        return False, path
+        node = 0 if self.rows else None
+        while node is not None and node != _FINISHED:
+            row = self.rows[node]
+            left = list(range(len(row) - 1))
+            node = _BLOCKED
+            while node == _BLOCKED:
+                slot = -1
+                if left:
+                    draw = rng.randrange(len(left))
+                    path.append((len(left), draw))
+                    slot = left.pop(draw)
+                node = row[slot]
+        return node is not None, path
 
-    def record(self, path):
-        """Add the finished construction that made the draws in ``path``,
-        as far as the node cap allows."""
-        counts = [count for count, _ in path] + [0]
-        if not self.counts:
-            self.counts.append(counts[0])
-        node = 0
-        for step, (_, draw) in enumerate(path):
-            key = node * self.width + draw
-            child = self.children.get(key)
-            if child is None:
-                if len(self.counts) >= _TRIE_NODE_CAP:
-                    return
-                child = self.children[key] = len(self.counts)
-                self.counts.append(counts[step + 1])
-            node = child
+    def _add(self, count, size):
+        """A new node offering ``count`` candidates; ``size`` more slots
+        count against the cap for its key."""
+        self.rows.append([None] * (count + 1))
+        self.open += count
+        self.held += count + 1 + size
+        return len(self.rows) - 1
+
+    def _node(self, entry, named):
+        """The node of the pick that made ``entry`` (count, draw, open route,
+        number of closed routes), added if new; ``named`` holds each built
+        route as (start time, visit order).  None when the cap refuses it."""
+        count, _, current, k = entry
+        key = (k, *named[:k]) if current is None else (
+            k, *named[:k], (current.start_time, current.request_ids))
+        node = self.states.get(key)
+        if node is None and self.held + count + 1 + len(key) <= _TRIE_NODE_CAP:
+            node = self.states[key] = self._add(count, len(key))
+        return node
+
+    def record(self, path, routes):
+        """Add the finished construction that made the picks in ``path`` and
+        built ``routes``, as far as the cap allows.  Each ``path`` entry of
+        a pick with nothing blocked also carries the open route and the
+        number of closed routes there.  An attempt's outcome is read off
+        the pick after it: one with something blocked follows a blocked
+        attempt, one with a route open a placement, one with none a route
+        close; after the last pick, the placed pairs tell."""
+        if not self.rows:
+            self._add(path[0][0] if path else 0, 0)
+        named = [(route.start_time, route.request_ids) for route in routes]
+        pairs = sum(len(visits) for _, visits in named) // 2
+        end = len(path)
+        placed = step = node = 0
+        while node != _FINISHED:
+            row = self.rows[node]
+            left = list(range(len(row) - 1))
+            node = _BLOCKED
+            while node == _BLOCKED and left:
+                slot = left.pop(path[step][1])
+                step += 1
+                node = row[slot]
+                if node is None:
+                    after = path[step] if step < end else None
+                    if after is None:
+                        node = _FINISHED if placed + 1 == pairs else _BLOCKED
+                    elif len(after) == 2 or after[2] is None:
+                        node = _BLOCKED
+                    else:
+                        node = self._node(after, named)
+                        if node is None:
+                            return
+                    row[slot] = node
+                    self.open -= 1
+                placed += node != _BLOCKED
+            if node == _BLOCKED:
+                node = row[-1]
+                if node is None:
+                    node = _FINISHED if step == end else self._node(path[step], named)
+                    if node is None:
+                        self.open += 1
+                        return
+                    row[-1] = node
 
 
 def run_rh(instance, config=None):
@@ -520,17 +590,21 @@ def run_rh(instance, config=None):
     keeping ties.  Fully deterministic for a given seed: iteration i draws
     from its own generator seeded from (seed, i).
 
-    An iteration whose draws repeat an earlier iteration's construction is
+    An iteration whose draws lead to a construction already built, by the
+    same draws or through construction states other iterations reached, is
     skipped without building it: under the earliest-wins tie rule a repeat
     can never win, so the result is the same as building every iteration.
-    The draw sequences are kept in a trie bounded to ``_TRIE_NODE_CAP``
-    nodes; once it is full, only repeats of what it holds are skipped.
+    Once every candidate of every state reached has been tried, every later
+    iteration would be such a repeat, and the loop stops early with the
+    same result; ``config.iterations`` is an upper bound.  The draw graph
+    is bounded by ``_TRIE_NODE_CAP``; once it is full, only repeats of what
+    it holds are skipped and every iteration runs.
     """
     config = config or RhConfig()
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
     limit = instance.parameters.worker_count
-    built = _DrawTrie(width=max(len(retained), 1))
+    built = _DrawTrie()
     best = None
     best_value = None
     for i in range(config.iterations):
@@ -540,19 +614,24 @@ def run_rh(instance, config=None):
             continue
         replay = [draw for _, draw in reversed(path)]
 
-        def pick(candidates, unserved, instance):
+        def pick(candidates, unserved, instance, current, routes):
             if replay:
                 return candidates[replay.pop()]
-            draw = rng.randrange(len(candidates))
-            path.append((len(candidates), draw))
+            count = len(candidates)
+            draw = rng.randrange(count)
+            # Nothing blocked: a pick ``_DrawTrie`` keys by state.
+            path.append((count, draw, current, len(routes)) if count == len(unserved)
+                        else (count, draw))
             return candidates[draw]
 
         routes, _ = _construct(instance, retained, partners, pick, limit)
-        built.record(path)
+        built.record(path, routes)
         if config.objective == "profit":
             routes = paying_routes(routes, instance)
         solution = assemble_solution(routes, instance)
         value = objective_value(solution, config.objective)
         if best is None or value > best_value:
             best, best_value = solution, value
+        if not built.open:
+            break
     return best

@@ -30,6 +30,7 @@ from .model import (
     matrix_shape_violations,
     parameter_violations,
     request_set_violations,
+    revenue_model_violations,
 )
 
 FORMAT_VERSION = 1
@@ -122,7 +123,7 @@ def _triangle_violations(distances):
     return bad
 
 
-def _collect_instance_violations(params, requests, distances):
+def _collect_instance_violations(params, requests, distances, revenue_model=None):
     """Every broken semantic invariant of the raw document, as messages.
 
     The rules an instance shares with ``model`` come from there; the
@@ -148,6 +149,8 @@ def _collect_instance_violations(params, requests, distances):
             bad.extend(_triangle_violations(distances))
     records = [SimpleNamespace(**r) for r in requests]
     bad += [message for _, message in request_set_violations(records, n)]
+    if revenue_model is not None:
+        bad += revenue_model_violations(SimpleNamespace(**revenue_model))
     return bad
 
 
@@ -196,19 +199,12 @@ def load_instance(path):
     revenue_model = None
     raw_model = doc.get("revenue_model")
     if raw_model is not None:
-        kind = _field(raw_model, "kind", str, "revenue_model")
-        if kind not in ("flat", "vrc_frc"):
-            raise ParseError("revenue_model.kind must be 'flat' or 'vrc_frc'", field="kind")
-        revenue_model = RevenueModel(
-            kind=kind,
-            amount=_field(raw_model, "amount", float, "revenue_model"),
-            rate_per_min=_field(raw_model, "rate_per_min", float, "revenue_model"),
-            rent_min=_field(raw_model, "rent_min", float, "revenue_model"),
-            rent_max=_field(raw_model, "rent_max", float, "revenue_model"),
-            frc=_field(raw_model, "frc", float, "revenue_model"),
-        )
+        revenue_model = {
+            name: _field(raw_model, name, str if name == "kind" else float, "revenue_model")
+            for name in _REVENUE_FIELDS
+        }
 
-    violations = _collect_instance_violations(params, requests, distances)
+    violations = _collect_instance_violations(params, requests, distances, revenue_model)
     if violations:
         raise InvariantViolation(violations)
 
@@ -216,7 +212,7 @@ def load_instance(path):
         parameters=Parameters(**params),
         requests=tuple(Request(**{**r, "kind": RequestKind(r["kind"])}) for r in requests),
         distances=tuple(tuple(row) for row in distances),
-        revenue_model=revenue_model,
+        revenue_model=None if revenue_model is None else RevenueModel(**revenue_model),
         provenance=doc.get("provenance"),
     )
 

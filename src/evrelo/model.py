@@ -94,6 +94,20 @@ def request_set_violations(requests, n):
     return bad
 
 
+def revenue_model_violations(m):
+    """Every broken rule of a revenue model, as messages; ``m`` has the
+    ``RevenueModel`` fields as attributes."""
+    bad = []
+    if m.kind not in ("flat", "vrc_frc"):
+        bad.append(f"revenue_model.kind must be one of flat, vrc_frc, got {m.kind!r}")
+    bad += [f"revenue_model.{name} must be finite, got {getattr(m, name)}"
+            for name in ("amount", "rate_per_min", "rent_min", "rent_max", "frc")
+            if not math.isfinite(getattr(m, name))]
+    if m.rent_min > m.rent_max:
+        bad.append(f"revenue_model.rent_min {m.rent_min} exceeds rent_max {m.rent_max}")
+    return bad
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Worker and fleet constants.
@@ -164,10 +178,8 @@ class RevenueModel:
     frc: float = 15.0
 
     def __post_init__(self):
-        if self.kind not in ("flat", "vrc_frc"):
-            raise ValueError(f"unknown revenue model kind {self.kind!r}")
-        if self.rent_min > self.rent_max:
-            raise ValueError("rent_min exceeds rent_max")
+        for message in revenue_model_violations(self):
+            raise ValueError(message)
 
     def draw(self, rng):
         """Draw one request revenue using ``rng.uniform``."""

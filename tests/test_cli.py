@@ -10,7 +10,7 @@ from conftest import single_pair_reference
 from evrelo.cli import main
 from evrelo.feasibility import validate_solution
 from evrelo.generator import make_benchmark, small_instances
-from evrelo.io import load_instance, load_solution, save_instance, save_solution
+from evrelo.io import instance_to_dict, load_instance, load_solution, save_instance, save_solution
 from evrelo.insertion import run_ch
 
 
@@ -221,6 +221,26 @@ def test_validate_flags_broken_instance_document(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, messages", [
+    ({"rent_min": 20.0, "rent_max": 10.0},
+     ["revenue_model.rent_min 20.0 exceeds rent_max 10.0"]),
+    ({"amount": float("nan"), "frc": float("inf")},
+     ["revenue_model.amount must be finite, got nan",
+      "revenue_model.frc must be finite, got inf"]),
+    ({"kind": "per_km"},
+     ["revenue_model.kind must be one of flat, vrc_frc, got 'per_km'"]),
+])
+def test_validate_reports_a_broken_revenue_model(tmp_path, capsys, edits, messages):
+    doc = instance_to_dict(make_benchmark("vamat_like", 1, seed=0)[0])
+    doc["revenue_model"].update(edits)
+    path = tmp_path / "priced.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {'; '.join(messages)}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ insertion simulation, and the two insertion-based construction drivers."""
 import dataclasses
 import functools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -450,7 +451,7 @@ def _rh_every_iteration(instance, config):
         rng = random.Random(config.seed * 1_000_003 + i)
         draws = []
 
-        def pick(candidates, unserved, instance):
+        def pick(candidates, unserved, instance, *_):
             draws.append(rng.randrange(len(candidates)))
             return candidates[draws[-1]]
 
@@ -511,7 +512,7 @@ def _construct_full_scan(instance, retained, partners, choose, worker_limit):
                 if len(routes) < worker_limit and unserved:
                     continue
             break
-        rid = choose(candidates, unserved, instance)
+        rid = choose(candidates, unserved, instance, current, routes)
         request = unserved[rid]
         partner = next(p for p in partners[rid] if p.id in unserved)
         pickup, delivery = _orient(request, partner)
@@ -539,7 +540,7 @@ def _construct_full_scan(instance, retained, partners, choose, worker_limit):
 
 def _seeded_picker(seed):
     rng = random.Random(seed)
-    return lambda candidates, unserved, instance: candidates[rng.randrange(len(candidates))]
+    return lambda candidates, unserved, instance, *_: candidates[rng.randrange(len(candidates))]
 
 
 def test_construct_matches_the_full_partner_scan():
@@ -606,17 +607,124 @@ def test_rh_earliest_of_tied_iterations_wins():
         assert run_rh(inst, config) == runs[0][1]
 
 
-def test_rh_builds_each_draw_sequence_once(monkeypatch):
-    built = []
+def _rh_edges(instance, config):
+    """(entries, offered) of each RH iteration, every construction built.
+
+    A state is the construction at a pick with nothing blocked: its closed
+    routes and its open route, each as (start time, visit order).  An
+    attempt is named by the last state and the request tried; the route
+    close after every candidate was blocked, by the state and None.
+    ``offered`` maps each state to its number of candidates."""
+    partners = compatible_partners(instance)
+    retained, _ = preprocess(instance, partners)
+    for i in range(config.iterations):
+        rng = random.Random(config.seed * 1_000_003 + i)
+        edges, offered = [], {}
+
+        def pick(candidates, unserved, instance, current, routes):
+            state = edges[-1][0] if edges else None
+            if len(candidates) == len(unserved):
+                if current is None and routes:
+                    edges.append((state, None))
+                state = (tuple((r.start_time, r.request_ids) for r in routes),
+                         None if current is None else (current.start_time, current.request_ids))
+                offered[state] = len(candidates)
+            edges.append((state, candidates[rng.randrange(len(candidates))]))
+            return edges[-1][1]
+
+        routes, _ = _construct(instance, retained, partners, pick,
+                               instance.parameters.worker_count)
+        if edges and not any(edges[-1][1] in r.request_ids for r in routes):
+            edges.append((edges[-1][0], None))
+        yield edges, offered
+
+
+def _count_rh_work(monkeypatch):
+    """Patch RH to log its walks and, for each construction it builds, the
+    index of the iteration (the walk) that built it."""
+    walks, built = [], []
+    walk = insertion._DrawTrie.walk
+    monkeypatch.setattr(insertion._DrawTrie, "walk",
+                        lambda self, rng: walks.append(None) or walk(self, rng))
     construct = insertion._construct
     monkeypatch.setattr(insertion, "_construct",
-                        lambda *args: built.append(args) or construct(*args))
-    for instance in RH_CONTRACT_FLEET[-3:-1]:
-        config = RhConfig(iterations=200, seed=0, objective="profit")
+                        lambda *args: built.append(len(walks) - 1) or construct(*args))
+    return walks, built
+
+
+def test_rh_builds_the_iterations_that_reach_an_unseen_edge(monkeypatch):
+    # The draw graph does not depend on the objective, so one suffices.
+    # It stops after the iteration that leaves no candidate of a state
+    # reached untried.
+    config = RhConfig(iterations=200, seed=0, objective="profit")
+    walks, built = _count_rh_work(monkeypatch)
+    for instance in RH_CONTRACT_FLEET:
+        seen, expected, states = set(), [], {}
+        for i, (edges, offered) in enumerate(_rh_edges(instance, config)):
+            if not i or not seen.issuperset(edges):
+                expected.append(i)
+                seen.update(edges)
+            states.update(offered)
+            if sum(states.values()) == sum(rid is not None for _, rid in seen):
+                break
         sequences = {draws for _, _, draws in _rh_every_iteration(instance, config)}
+        walks.clear()
         built.clear()
         run_rh(instance, config)
-        assert len(built) == len(sequences) < config.iterations / 2
+        assert built == expected
+        assert len(walks) == i + 1
+        assert len(built) <= len(sequences)
+    # Two workers, 15-29 draws per construction: every iteration draws a
+    # new sequence, yet most only repeat attempts other iterations made.
+    assert len(built) < len(sequences) == config.iterations
+
+
+def test_rh_stops_once_every_draw_is_taken(monkeypatch):
+    walks, _ = _count_rh_work(monkeypatch)
+    for instance in small_instances(100, seed=0):
+        for objective in ("profit", "requests"):
+            walks.clear()
+            run_rh(instance, RhConfig(iterations=10_000, seed=0, objective=objective))
+            assert len(walks) < 10_000
+
+
+def test_rh_runs_every_iteration_once_the_graph_is_full(monkeypatch):
+    # These make more than three attempts per construction, so a cap of 3
+    # entries fills on the first one.
+    monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", 3)
+    walks, _ = _count_rh_work(monkeypatch)
+    for instance in RH_CONTRACT_FLEET[-3:]:
+        config = RhConfig(iterations=200, seed=0, objective="profit")
+        walks.clear()
+        solution = run_rh(instance, config)
+        assert len(walks) == config.iterations
+        assert solution == _rh_reference(instance, config)
+
+
+def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
+    # Made-up picks: either first candidate opens route r, whose two
+    # candidates are blocked; the node after r closes does not fit the cap.
+    # Every candidate is then tried, yet the close leads nowhere recorded.
+    monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", 10)
+    r = SimpleNamespace(start_time=0.0, request_ids=(1, 2))
+    s = SimpleNamespace(start_time=5.0, request_ids=(3, 4))
+    graph = insertion._DrawTrie()
+    for first in (0, 1):
+        graph.record([(2, first, None, 0), (2, 0, r, 0), (1, 0), (2, 0, None, 1)], [r, s])
+        assert len(graph.rows) == 2
+    assert graph.open
+
+
+@given(st.integers(min_value=0, max_value=5_000), st.sampled_from([1, 2]),
+       st.integers(min_value=1, max_value=60))
+def test_rh_equals_the_plain_loop(seed, workers, iterations):
+    # A short duty time closes routes mid-construction; with two workers a
+    # second route opens after the first closes.
+    instance = synthetic_instance(random.Random(seed),
+                                  params=Parameters(worker_count=workers, duty_time=200.0))
+    for objective in ("profit", "requests"):
+        config = RhConfig(iterations=iterations, seed=seed, objective=objective)
+        assert run_rh(instance, config) == _rh_reference(instance, config)
 
 
 # ---------------------------------------------------------------------------

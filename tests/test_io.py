@@ -281,6 +281,10 @@ def test_location_outside_matrix_rejected(tmp_path):
     ("requests", "tw_min", 1000.0),
     ("requests", "battery", 1.5),
     ("requests", "revenue", -1.0),
+    ("revenue_model", "kind", "per_km"),
+    ("revenue_model", "amount", float("nan")),
+    ("revenue_model", "frc", float("-inf")),
+    ("revenue_model", "rent_min", 99.0),
 ])
 def test_load_reports_the_constructor_message(tmp_path, section, name, value):
     doc = instance_to_dict(single_pair_reference())
@@ -288,6 +292,10 @@ def test_load_reports_the_constructor_message(tmp_path, section, name, value):
         doc["parameters"][name] = value
         with pytest.raises(ValueError) as built:
             Parameters(**doc["parameters"])
+    elif section == "revenue_model":
+        doc["revenue_model"][name] = value
+        with pytest.raises(ValueError) as built:
+            RevenueModel(**doc["revenue_model"])
     else:
         raw = doc["requests"][0]
         raw[name] = value
