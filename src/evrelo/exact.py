@@ -11,6 +11,12 @@ departures form an interval.  Time-window and charge-target conditions only
 get harder as the departure moves later, while driving-range and duty-time
 conditions only get easier, so the sequence is feasible iff the latest
 window-compatible departure also satisfies the range and duty conditions.
+
+The enumeration never replays a sequence from the depot to judge it.  The
+schedule recurrence composes over a prefix, so each search node carries its
+sequence's end states at the departures it is judged at (the floor and the
+ceiling its first pickup fixes, plus any bisection midpoints asked about),
+and a child is judged by walking its one new pair on from those states.
 """
 
 from __future__ import annotations
@@ -47,72 +53,110 @@ class OracleLimits:
     nodes: int = field(default=0, compare=False)
 
 
-def _scan_sequence(seq, start, instance):
-    """Replay a flat pickup, delivery, ... sequence from a depot departure.
+def _advance(state, requests, instance):
+    """End state after walking the pairs ``requests`` on from ``state``.
 
-    Returns (windows_ok, range_ok, last_departure): whether every window and
-    charge-target condition holds, whether every driving-range condition
-    holds, and when the worker leaves the final delivery.
+    A state is (windows_ok, range_ok, departure, location): whether every
+    window and charge-target condition met so far holds, whether every
+    driving-range condition met so far holds, and when and where the worker
+    leaves the last stop.  ``propagate`` composes: walking ``seq + pair``
+    from the depot does, bit for bit, ``seq``'s arithmetic and then the
+    pair's from ``seq``'s end state.
     """
-    _, dep, failures = propagate(instance, start, 0, seq)
-    windows_ok = range_ok = True
+    windows_ok, range_ok, dep, loc = state
+    _, dep, failures = propagate(instance, dep, loc, requests)
     for code, _ in failures:
         if code == "battery_range":
             range_ok = False
         else:
             windows_ok = False
-    return windows_ok, range_ok, dep
+    return windows_ok, range_ok, dep, requests[-1].location
 
 
-def _latest_window_start(seq, instance):
-    """Latest depot departure under which every window and charge-target
-    condition of the sequence holds, or None when no departure works.
+class _Label:
+    """End states of one pair sequence at the depot departures it is judged at.
 
-    The conditions hold on a down-closed set of departures, so the latest
-    candidate is checked first (the one putting the first pickup at its
-    window closing); failing that, the answer is bisected against the
-    departure low enough to pin the whole schedule to its window floors.
+    ``lo`` and ``hi`` are the floor and the ceiling, the departures that put
+    the first pickup at its window opening and closing; every extension of
+    the sequence shares them.  ``floor`` and ``ceiling`` are the end states
+    there (a ceiling state whose windows fail is handed down unchanged, as
+    only that failure matters to the descendants), and ``states`` holds the
+    end state at each bisection midpoint asked about.  ``start`` and ``dep``
+    are the chosen depot departure and the departure from the last delivery
+    there.
     """
-    first = seq[0]
+
+    __slots__ = ("lo", "hi", "floor", "ceiling", "states", "start", "dep")
+
+    def __init__(self, lo, hi, floor, ceiling):
+        self.lo, self.hi = lo, hi
+        self.floor, self.ceiling = floor, ceiling
+        self.states = {}
+
+
+def _depot_label(first, instance):
+    """Label of the empty sequence for routes that open at ``first``."""
     ride = instance.bike_minutes(0, first.location)
-    hi = first.tw_max - ride
-    if _scan_sequence(seq, hi, instance)[0]:
-        return hi
-    lo = first.tw_min - ride
-    if not _scan_sequence(seq, lo, instance)[0]:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _scan_sequence(seq, mid, instance)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lo, hi = first.tw_min - ride, first.tw_max - ride
+    return _Label(lo, hi, (True, True, lo, 0), (True, True, hi, 0))
 
 
-def _viable_schedule(seq, instance):
-    """(start, last departure) at the latest window-compatible departure of
-    the sequence, or None when no extension of it can be feasible.
+def _child_label(parent, seq, pickup, delivery, instance):
+    """Label of ``seq + [pickup, delivery]`` from ``parent``, the label of
+    ``seq``, or None when no extension of the child can be feasible.
 
-    Appending pairs only adds conditions and driving time, so a prefix whose
-    own conditions already fail at that departure (duty measured without
-    the ride home, which an extension replaces) condemns the whole subtree.
+    The child's start is the latest depot departure under which every
+    window and charge-target condition holds.  Those conditions hold on a
+    down-closed set of departures, so a child failing them at the floor is
+    dead; one passing them at the ceiling starts there; otherwise the start
+    is bisected between the two.  Each end state is the parent's state at
+    the same departure walked on by the one pair, the parent's midpoint
+    states being memoised so that siblings share them.  A child whose own
+    driving-range or duty conditions (duty measured without the ride home,
+    which an extension replaces) already fail at its start condemns its
+    whole subtree, since appending pairs only adds conditions and time.
     """
-    start = _latest_window_start(seq, instance)
-    if start is None:
+    pair = (pickup, delivery)
+    floor = _advance(parent.floor, pair, instance)
+    if not floor[0]:
         return None
-    _, range_ok, dep = _scan_sequence(seq, start, instance)
+    ceiling = parent.ceiling
+    if ceiling[0]:
+        ceiling = _advance(ceiling, pair, instance)
+    child = _Label(parent.lo, parent.hi, floor, ceiling)
+    if ceiling[0]:
+        start, end = child.hi, ceiling
+    else:
+        lo, hi, end = child.lo, child.hi, floor
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # no later halving can move either end
+            if seq:
+                state = parent.states.get(mid)
+                if state is None:
+                    state = parent.states[mid] = _advance((True, True, mid, 0), seq, instance)
+            else:
+                state = (True, True, mid, 0)  # leaving the depot
+            state = child.states[mid] = _advance(state, pair, instance)
+            if state[0]:
+                lo, end = mid, state
+            else:
+                hi = mid
+        start = lo
+    _, range_ok, dep, _ = end
     if range_ok and dep - start <= instance.parameters.duty_time + EPS:
-        return start, dep
+        child.start, child.dep = start, dep
+        return child
     return None
 
 
 def _sequence_route(seq, start, dep, instance):
     """Feasible stored route for a sequence, or None.
 
-    ``start`` and ``dep`` are ``_viable_schedule``'s for the sequence; the
-    route must also fit the ride home into the duty time, and the
-    materialized route must replay clean through the validator.
+    ``start`` and ``dep`` are the sequence's ``_Label``'s; the route must also
+    fit the ride home into the duty time, and the materialized route must
+    replay clean through the validator.
     """
     if not dep + instance.bike_minutes(seq[-1].location, 0) - start <= instance.parameters.duty_time + EPS:
         return None
@@ -123,8 +167,12 @@ def _sequence_route(seq, start, dep, instance):
 def _feasible_route_masks(instance, limits, deadline):
     """Map from served-id frozenset to one representative feasible route.
 
-    Depth-first over pair sequences in id order; returns (masks, complete)
-    where complete is False when the time budget cut the enumeration short.
+    Depth-first over pair sequences in id order, each node carrying its
+    sequence's label so that a child is judged by walking one pair on from
+    its parent's end states; the first sequence found for a served set is
+    its representative, and later ones are not materialized.  Returns
+    (masks, complete) where complete is False when the time budget cut the
+    enumeration short.
     """
     pickups = sorted(
         (r for r in instance.requests if r.kind is RequestKind.PICKUP), key=lambda r: r.id
@@ -135,29 +183,32 @@ def _feasible_route_masks(instance, limits, deadline):
     masks = {}
     complete = True
 
-    def extend(seq, used, start=None, dep=None):
+    def extend(seq, used, label=None):
         nonlocal complete
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
         limits.nodes += 1
         if seq:
-            route = _sequence_route(seq, start, dep, instance)
-            if route is not None:
-                masks.setdefault(frozenset(used), route)
+            key = frozenset(used)
+            if key not in masks:
+                route = _sequence_route(seq, label.start, label.dep, instance)
+                if route is not None:
+                    masks[key] = route
         for p in pickups:
             if p.id in used:
                 continue
+            parent = label if seq else _depot_label(p, instance)
             for d in deliveries:
                 if d.id in used:
                     continue
-                seq += (p, d)
-                used.update((p.id, d.id))
-                viable = _viable_schedule(seq, instance)
-                if viable is not None:
-                    extend(seq, used, *viable)
-                del seq[-2:]
-                used.difference_update((p.id, d.id))
+                child = _child_label(parent, seq, p, d, instance)
+                if child is not None:
+                    seq += (p, d)
+                    used.update((p.id, d.id))
+                    extend(seq, used, child)
+                    del seq[-2:]
+                    used.difference_update((p.id, d.id))
                 if not complete:
                     return
 

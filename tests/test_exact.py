@@ -2,6 +2,7 @@
 and a brute-force cross-check against a departure-time grid scan."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
+from evrelo import exact
 from evrelo.errors import InstanceTooLarge
 from evrelo.exact import OracleLimits, optimality_gap, solve_exact
-from evrelo.feasibility import replay_route, validate_route, validate_solution
+from evrelo.feasibility import propagate, replay_route, validate_route, validate_solution
+from evrelo.generator import make_benchmark
 from evrelo.model import (
+    EPS,
     Instance,
     Parameters,
     Request,
@@ -137,10 +141,40 @@ def test_exact_time_budget_clears_optimality_flag():
     assert relaxed.optimal is True
 
 
+def _masks_digest(masks):
+    """SHA-256 over every served set and the exact values of its route."""
+    rows = sorted(
+        (tuple(sorted(ids)), route.start_time, route.end_time,
+         tuple((v.request_id, v.arrival, v.waiting, v.ev_charge) for v in route.visits))
+        for ids, route in masks.items()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# make_benchmark("amat_like", 30, seed=0) index -> (enumeration nodes, served
+# sets, digest of the representative routes), recorded when every child was
+# still judged by replaying it from the depot.  #2 starts a route in the
+# bisection branch; #16 has 22 requests.
+AMAT_ENUMERATION = {
+    2: (38, 37, "796d4349e771c4449770b5a6fd8d857470913593500c6efcc0c22aec34549934"),
+    16: (2293, 1103, "f6d7cc1e47e1eea4ec023fe959e33c398a9959a48bb9105ba229f43597962d65"),
+}
+
+
 def test_exact_counts_search_nodes():
     limits = OracleLimits()
     solve_exact(_coincident(pairs=2), objective="requests", limits=limits)
     assert limits.nodes > 0
+    instances = make_benchmark("amat_like", 30, seed=0)
+    limits = OracleLimits(max_requests=16)
+    solve_exact(instances[2], objective="profit", limits=limits)
+    assert limits.nodes == 59  # 38 enumeration nodes, 21 packing steps
+    for index, (nodes, served_sets, digest) in AMAT_ENUMERATION.items():
+        limits = OracleLimits()
+        masks, complete = exact._feasible_route_masks(instances[index], limits, None)
+        assert complete
+        assert (limits.nodes, len(masks)) == (nodes, served_sets), index
+        assert _masks_digest(masks) == digest, index
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +270,92 @@ def test_exact_matches_grid_scan_brute_force(seed):
             extra_starts=[r.start_time for r in solution.routes],
         )
         assert oracle_value == pytest.approx(brute, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Incremental verdicts: every child the enumeration judges from its parent's
+# end states gets exactly the verdict of a from-scratch departure scan.
+# ---------------------------------------------------------------------------
+
+def _scan_from_depot(seq, start, instance):
+    _, dep, failures = propagate(instance, start, 0, seq)
+    windows_ok = all(code == "battery_range" for code, _ in failures)
+    range_ok = all(code != "battery_range" for code, _ in failures)
+    return windows_ok, range_ok, dep
+
+
+def _latest_window_start(seq, instance):
+    """Ceiling if it passes, None if the floor fails, else 60 halvings."""
+    first = seq[0]
+    ride = instance.bike_minutes(0, first.location)
+    hi = first.tw_max - ride
+    if _scan_from_depot(seq, hi, instance)[0]:
+        return hi
+    lo = first.tw_min - ride
+    if not _scan_from_depot(seq, lo, instance)[0]:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _scan_from_depot(seq, mid, instance)[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _viable_schedule(seq, instance):
+    start = _latest_window_start(seq, instance)
+    if start is None:
+        return None
+    _, range_ok, dep = _scan_from_depot(seq, start, instance)
+    if range_ok and dep - start <= instance.parameters.duty_time + EPS:
+        return start, dep
+    return None
+
+
+def _judged_children(instance):
+    """(sequence, (start, dep) or None) for every child the enumeration
+    judges, in the order it judges them."""
+    judged = []
+    judge = exact._child_label
+
+    def spy(parent, seq, pickup, delivery, inst):
+        child = judge(parent, seq, pickup, delivery, inst)
+        verdict = None if child is None else (child.start, child.dep)
+        judged.append(((*seq, pickup, delivery), verdict))
+        return child
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_child_label", spy)
+        exact._feasible_route_masks(instance, OracleLimits(), None)
+    return judged
+
+
+def _assert_verdicts_match_the_scan(instance):
+    """Every verdict equals the scan's; returns how many children died,
+    started at the ceiling and started below it."""
+    dead = at_ceiling = below = 0
+    for seq, verdict in _judged_children(instance):
+        assert verdict == _viable_schedule(seq, instance), [r.id for r in seq]
+        if verdict is None:
+            dead += 1
+        elif verdict[0] == seq[0].tw_max - instance.bike_minutes(0, seq[0].location):
+            at_ceiling += 1
+        else:
+            below += 1
+    return dead, at_ceiling, below
+
+
+def test_incremental_verdicts_equal_the_scan_on_amat_like():
+    counts = [0, 0, 0]
+    for instance in make_benchmark("amat_like", 30, seed=0):
+        if len(instance.requests) <= 16:
+            for i, n in enumerate(_assert_verdicts_match_the_scan(instance)):
+                counts[i] += n
+    # dead, ceiling and bisected children are all exercised
+    assert min(counts) > 0, counts
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=3))
+def test_incremental_verdicts_equal_the_scan_on_synthetic_instances(seed, n_pairs):
+    _assert_verdicts_match_the_scan(synthetic_instance(random.Random(seed), n_pairs=n_pairs))
