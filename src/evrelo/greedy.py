@@ -79,8 +79,12 @@ def delivery_feasible(position, delivery, instance):
 
     The held pickup and the delivery are propagated from the position: the
     delivery window and both battery conditions must hold, and so must the
-    duty time were the worker to head home right after.  Raises WrongKind
-    if ``delivery`` is not a delivery or no EV is held.
+    duty time with the ride home booked from ``max(arrival, tw_min) +
+    park_time``.  The replay leaves at ``max(arrival + park_time,
+    tw_min)``, so when the EV arrives before the window opens the screen
+    over-counts by up to ``park_time`` and can reject a delivery that fits
+    (ROADMAP item 3).  Raises WrongKind if ``delivery`` is not a delivery
+    or no EV is held.
     """
     if delivery.kind is not RequestKind.DELIVERY:
         raise WrongKind(f"request {delivery.id} is not a delivery")

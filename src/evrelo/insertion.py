@@ -35,7 +35,10 @@ def pair_necessary_feasible(pickup, delivery, instance):
     delivery demands even with the full recharge slack of the delivery
     window; and a route serving just this pair fits into the duty time.
     Passing all three does not guarantee a feasible route (the checks ignore
-    the actual schedule), but failing any one proves the pair useless.
+    the actual schedule).  Failing one is meant to prove the pair useless,
+    but the delivery-window screen adds ``park_time``, which the validator
+    does not, so it drops some pairs whose one-pair route validates
+    (ROADMAP item 3).
     """
     par = instance.parameters
     dist = instance.distances
@@ -90,10 +93,14 @@ def critical_factor(request, partners, instance):
     """
     if not partners:
         return NEG_INF
+    # Driving times with ``propagate``'s arithmetic.
+    dist = instance.distances
+    ev = instance.parameters.ev_speed
     if request.kind is RequestKind.PICKUP:
-        latest = max(d.tw_max - instance.ev_minutes(request.location, d.location) for d in partners)
+        row = dist[request.location]
+        latest = max(d.tw_max - row[d.location] * 60.0 / ev for d in partners)
         return latest - request.tw_min
-    earliest = min(p.tw_min + instance.ev_minutes(p.location, request.location) for p in partners)
+    earliest = min(p.tw_min + dist[p.location][request.location] * 60.0 / ev for p in partners)
     return request.tw_max - earliest
 
 
@@ -162,6 +169,19 @@ class FirstPairTiming:
     start_time: float
 
 
+def _first_pair_times(pickup, delivery, instance):
+    """(completion, pickup arrival, delivery arrival, depot departure) of
+    ``init_first_pair``'s timing, without building a ``FirstPairTiming``."""
+    par = instance.parameters
+    dist = instance.distances
+    t = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
+    handling = par.park_time + par.load_time
+    completion = max(delivery.tw_min, pickup.tw_min + t + handling)
+    pickup_arrival = min(pickup.tw_max, completion - t - handling)
+    start = pickup_arrival - dist[0][pickup.location] * 60.0 / par.bike_speed
+    return completion, pickup_arrival, pickup_arrival + t + handling, start
+
+
 def init_first_pair(pickup, delivery, instance):
     """Zero-waiting timing for a pair that opens a fresh route.
 
@@ -170,21 +190,14 @@ def init_first_pair(pickup, delivery, instance):
     by the pickup window closing (in which case the delivery incurs the
     residual wait).
     """
-    par = instance.parameters
-    dist = instance.distances
-    t = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
-    handling = par.park_time + par.load_time
-    completion = max(delivery.tw_min, pickup.tw_min + t + handling)
-    pickup_arrival = min(pickup.tw_max, completion - t - handling)
-    delivery_arrival = pickup_arrival + t + handling
-    delivery_waiting = completion - delivery_arrival
-    start = pickup_arrival - dist[0][pickup.location] * 60.0 / par.bike_speed
+    completion, pickup_arrival, delivery_arrival, start = _first_pair_times(
+        pickup, delivery, instance)
     return FirstPairTiming(
         completion_time=completion,
         pickup_arrival=pickup_arrival,
         pickup_waiting=0.0,
         delivery_arrival=delivery_arrival,
-        delivery_waiting=delivery_waiting,
+        delivery_waiting=completion - delivery_arrival,
         start_time=start,
     )
 
@@ -193,8 +206,8 @@ def _first_pair(pickup, delivery, instance, worker=0):
     """(route, feasible): the stored one-pair route for ``init_first_pair``
     timing and whether it meets every condition, judged in the one replay
     that builds it."""
-    timing = init_first_pair(pickup, delivery, instance)
-    route, failures = schedule_route(instance, timing.start_time, (pickup, delivery), worker)
+    start = _first_pair_times(pickup, delivery, instance)[3]
+    route, failures = schedule_route(instance, start, (pickup, delivery), worker)
     return route, not failures
 
 
@@ -223,9 +236,10 @@ def _gap_count(route):
 
 def _new_start(route, gap, pair, instance):
     """The depot departure once ``pair`` is inserted at ``gap``: kept, except
-    at gap 0, where ``init_first_pair`` times the new first pair."""
+    at gap 0, where ``init_first_pair``'s timing of the new first pair sets
+    it."""
     if gap == 0:
-        return init_first_pair(pair[0], pair[1], instance).start_time
+        return _first_pair_times(pair[0], pair[1], instance)[3]
     return route.start_time
 
 
@@ -352,7 +366,31 @@ def _orient(request, partner):
     return partner, request
 
 
-def _construct(instance, retained, partners, choose, worker_limit):
+_TRIE_NODE_CAP = 1 << 16
+_UNTRIED = object()
+
+
+class _Attempts:
+    """The outcome of every insertion attempt one solve made.
+
+    An attempt is keyed by (open route key, pickup id, delivery id), where
+    a route's key is (start time, visit order) and None stands for no open
+    route.  A route is the replay of its visit order from its start, so an
+    attempt's outcome is a pure function of its key: the gap
+    ``best_insertion`` chose, None when no gap admits the pair, or, for a
+    pair opening a route, whether it is feasible.  ``key`` is the key of
+    the open route of the construction under way: ``_construct`` makes it
+    once per placement, and the draw graph keys its states with the same
+    tuple.  At most ``_TRIE_NODE_CAP`` outcomes are held; an attempt the
+    cap refuses is evaluated again whenever it is met.
+    """
+
+    def __init__(self):
+        self.outcomes = {}
+        self.key = None
+
+
+def _construct(instance, retained, partners, choose, worker_limit, attempts=None):
     """Shared construction skeleton of the deterministic and randomized
     drivers.
 
@@ -364,6 +402,14 @@ def _construct(instance, retained, partners, choose, worker_limit):
     candidate fits it; construction ends when a fresh route cannot take any
     pair or the workers run out.
 
+    Each attempt is looked up in ``attempts`` (an ``_Attempts`` of the
+    solve; a fresh one by default) before it is evaluated, and its outcome
+    is stored there once evaluated.  A known placement is re-applied:
+    ``apply_insertion`` at the stored gap, or the first pair built for the
+    next worker.  So the constructions are those of evaluating every
+    attempt, workers included, for any record of the same instance,
+    retained set and partners.
+
     A request with no unserved partner left can never be served and is
     rejected.  ``live`` counts each unserved request's unserved partners:
     placing a pair lowers only the counts of its two requests' partners, and
@@ -371,6 +417,10 @@ def _construct(instance, retained, partners, choose, worker_limit):
     order, as ``preprocess`` returns it).  The partner relation is symmetric,
     so a rejected request is nobody's live partner and one round suffices.
     """
+    if attempts is None:
+        attempts = _Attempts()
+    outcomes = attempts.outcomes
+    attempts.key = None
     unserved = {r.id: r for r in retained}
     live = {rid: sum(p.id in unserved for p in partners[rid]) for rid in unserved}
     dead = [rid for rid in unserved if not live[rid]]
@@ -386,7 +436,7 @@ def _construct(instance, retained, partners, choose, worker_limit):
         if not candidates:
             if current is not None:
                 routes.append(current)
-                current = None
+                current = attempts.key = None
                 blocked.clear()
                 if len(routes) < worker_limit and unserved:
                     continue
@@ -394,20 +444,29 @@ def _construct(instance, retained, partners, choose, worker_limit):
         rid = choose(candidates, unserved, instance, current, routes)
         request = unserved[rid]
         partner = next(p for p in partners[rid] if p.id in unserved)
-        pickup, delivery = _orient(request, partner)
+        pair = pickup, delivery = _orient(request, partner)
+        attempt = (attempts.key, pickup.id, delivery.id)
+        outcome = outcomes.get(attempt, _UNTRIED)
+        untried = outcome is _UNTRIED
         placed = None
         if current is None:
-            attempt, feasible = _first_pair(pickup, delivery, instance, worker=len(routes))
-            if feasible:
-                placed = attempt
+            if outcome:  # untried, or known to fit: built for this worker
+                route, outcome = _first_pair(pickup, delivery, instance, worker=len(routes))
+                if outcome:
+                    placed = route
         else:
-            candidate = best_insertion(current, (pickup, delivery), instance)
-            if candidate is not None:
-                placed = apply_insertion(current, candidate.gap, (pickup, delivery), instance)
+            if untried:
+                candidate = best_insertion(current, pair, instance)
+                outcome = None if candidate is None else candidate.gap
+            if outcome is not None:
+                placed = apply_insertion(current, outcome, pair, instance)
+        if untried and len(outcomes) < _TRIE_NODE_CAP:
+            outcomes[attempt] = outcome
         if placed is None:
             blocked.add(rid)
             continue
         current = placed
+        attempts.key = (placed.start_time, placed.request_ids)
         del unserved[pickup.id]
         del unserved[delivery.id]
         blocked.clear()
@@ -457,7 +516,6 @@ def run_ch(instance, objective="profit"):
     return assemble_solution(routes, instance)
 
 
-_TRIE_NODE_CAP = 1 << 16
 _BLOCKED = -1
 _FINISHED = -2
 
@@ -524,12 +582,12 @@ class _DrawTrie:
         return len(self.rows) - 1
 
     def _node(self, entry, named):
-        """The node of the pick that made ``entry`` (count, draw, open route,
-        number of closed routes), added if new; ``named`` holds each built
-        route as (start time, visit order).  None when the cap refuses it."""
-        count, _, current, k = entry
-        key = (k, *named[:k]) if current is None else (
-            k, *named[:k], (current.start_time, current.request_ids))
+        """The node of the pick that made ``entry`` (count, draw, open route
+        key, number of closed routes), added if new; ``named`` holds each
+        built route's key, (start time, visit order).  None when the cap
+        refuses it."""
+        count, _, route_key, k = entry
+        key = (k, *named[:k]) if route_key is None else (k, *named[:k], route_key)
         node = self.states.get(key)
         if node is None and self.held + count + 1 + len(key) <= _TRIE_NODE_CAP:
             node = self.states[key] = self._add(count, len(key))
@@ -538,11 +596,12 @@ class _DrawTrie:
     def record(self, path, routes):
         """Add the finished construction that made the picks in ``path`` and
         built ``routes``, as far as the cap allows.  Each ``path`` entry of
-        a pick with nothing blocked also carries the open route and the
-        number of closed routes there.  An attempt's outcome is read off
-        the pick after it: one with something blocked follows a blocked
-        attempt, one with a route open a placement, one with none a route
-        close; after the last pick, the placed pairs tell."""
+        a pick with nothing blocked also carries the open route's key (None
+        when no route is open) and the number of closed routes there.  An
+        attempt's outcome is read off the pick after it: one with something
+        blocked follows a blocked attempt, one with a route open a
+        placement, one with none a route close; after the last pick, the
+        placed pairs tell."""
         if not self.rows:
             self._add(path[0][0] if path else 0, 0)
         named = [(route.start_time, route.request_ids) for route in routes]
@@ -599,12 +658,19 @@ def run_rh(instance, config=None):
     same result; ``config.iterations`` is an upper bound.  The draw graph
     is bounded by ``_TRIE_NODE_CAP``; once it is full, only repeats of what
     it holds are skipped and every iteration runs.
+
+    The constructions a call builds share one ``_Attempts`` record, so an
+    insertion attempt met again - in a replayed prefix, or by another
+    iteration - is looked up, not evaluated again.  It is bounded by the
+    same cap, and it lives for the call only: it is never shared across
+    calls, objectives or instances.
     """
     config = config or RhConfig()
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
     limit = instance.parameters.worker_count
     built = _DrawTrie()
+    attempts = _Attempts()
     best = None
     best_value = None
     for i in range(config.iterations):
@@ -620,11 +686,11 @@ def run_rh(instance, config=None):
             count = len(candidates)
             draw = rng.randrange(count)
             # Nothing blocked: a pick ``_DrawTrie`` keys by state.
-            path.append((count, draw, current, len(routes)) if count == len(unserved)
+            path.append((count, draw, attempts.key, len(routes)) if count == len(unserved)
                         else (count, draw))
             return candidates[draw]
 
-        routes, _ = _construct(instance, retained, partners, pick, limit)
+        routes, _ = _construct(instance, retained, partners, pick, limit, attempts)
         built.record(path, routes)
         if config.objective == "profit":
             routes = paying_routes(routes, instance)

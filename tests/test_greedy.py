@@ -6,8 +6,15 @@ import dataclasses
 import pytest
 
 from conftest import single_pair_reference
-from evrelo.feasibility import propagate, validate_solution
-from evrelo.greedy import GreedyPolicy, Position, opening_position, run_greedy, select_next
+from evrelo.feasibility import propagate, schedule_route, validate_solution
+from evrelo.greedy import (
+    GreedyPolicy,
+    Position,
+    delivery_feasible,
+    opening_position,
+    run_greedy,
+    select_next,
+)
 from evrelo.model import Instance, Parameters, Request, RequestKind
 
 
@@ -83,6 +90,21 @@ def test_select_next_measures_from_current_position(fork):
     # from the delivery station the remaining pickup is 2 km away
     assert select_next(position, [b], GreedyPolicy.NEAREST, inst,
                        delivery_pool=[db]) is b
+
+
+@pytest.mark.xfail(strict=True, reason="the duty screen books park_time after the "
+                   "window opening (ROADMAP item 3)")
+def test_delivery_screen_admits_a_delivery_whose_route_fits():
+    # 1 km takes 1 minute on both vehicles.  The EV reaches the delivery at
+    # 21, parks by 22 and waits until the window opens at 30: home at 50,
+    # exactly the duty time.  The screen books the ride home from 31.
+    p = _pickup(1, 1, (10.0, 10.0))
+    d = _delivery(2, 2, (30.0, 100.0))
+    inst = _line_instance([p, d], coords=[10.0, 20.0], ev_speed=60.0, bike_speed=60.0,
+                          duty_time=50.0)
+    position = opening_position(p, inst)._replace(held=p)
+    _, failures = schedule_route(inst, position.start_time, (p, d))
+    assert delivery_feasible(position, d, inst) or failures
 
 
 def test_run_greedy_no_requests_returns_empty_solution():

@@ -4,6 +4,7 @@ insertion simulation, and the two insertion-based construction drivers."""
 import dataclasses
 import functools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -118,6 +119,19 @@ def test_pair_screen_duty_boundary():
     assert pair_necessary_feasible(p, d, inst)
     p, d, inst = _screen_pair((180.0, 300.0), duty_time=133.9)
     assert not pair_necessary_feasible(p, d, inst)
+
+
+@pytest.mark.xfail(strict=True, reason="the delivery-window screen adds park_time "
+                   "the validator does not (ROADMAP item 3)")
+def test_pair_screen_keeps_a_pair_whose_route_validates():
+    # Arrival at the delivery is 10 + 1 + 10 = 21 <= 21.5, but the screen
+    # also adds the 1 minute of parking.
+    p = _pickup(1, 1, (10.0, 10.0))
+    d = _delivery(2, 2, (0.0, 21.5))
+    inst = _instance([p, d], [[0.0, 10.0, 10.0], [10.0, 0.0, 10.0], [10.0, 10.0, 0.0]],
+                     ev_speed=60.0, bike_speed=60.0, worker_cost=0.0)
+    route = materialize_first_pair(p, d, inst)
+    assert pair_necessary_feasible(p, d, inst) or not validate_route(route, inst).ok
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +724,64 @@ def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
     s = SimpleNamespace(start_time=5.0, request_ids=(3, 4))
     graph = insertion._DrawTrie()
     for first in (0, 1):
-        graph.record([(2, first, None, 0), (2, 0, r, 0), (1, 0), (2, 0, None, 1)], [r, s])
+        graph.record([(2, first, None, 0), (2, 0, (r.start_time, r.request_ids), 0), (1, 0),
+                      (2, 0, None, 1)], [r, s])
         assert len(graph.rows) == 2
     assert graph.open
+
+
+def test_construct_shares_one_attempt_record_across_pickers():
+    # One record met by the urgency picker and seeded ones, as RH's
+    # iterations meet theirs, each picker twice: every construction equals
+    # the one a fresh record gives, workers included.
+    vamat = make_benchmark("vamat_like", 30, seed=0)
+    for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
+        partners = compatible_partners(instance)
+        retained, _ = preprocess(instance, partners)
+        pickers = [lambda: _urgency_order(partners)]
+        pickers += [functools.partial(_seeded_picker, seed) for seed in range(4)]
+        for limit in (1, instance.parameters.worker_count):
+            shared = insertion._Attempts()
+            for make_picker in pickers * 2:
+                assert _construct(instance, retained, partners, make_picker(), limit, shared) == \
+                    _construct(instance, retained, partners, make_picker(), limit, insertion._Attempts())
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
+    # Evaluations are logged by attempt key.  The record holds the first
+    # ``cap`` keys evaluated; none of those is evaluated twice, except a
+    # first pair known to fit, built again for the worker that opens it.
+    if cap is not None:
+        monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", cap)
+    cap = insertion._TRIE_NODE_CAP
+    records, evaluated = [], []
+    construct, best, first = insertion._construct, insertion.best_insertion, insertion._first_pair
+    monkeypatch.setattr(insertion, "_construct",
+                        lambda *args: records.append(args[-1]) or construct(*args))
+    monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance: evaluated.append(
+        ((route.start_time, route.request_ids), pair[0].id, pair[1].id))
+        or best(route, pair, instance))
+    monkeypatch.setattr(insertion, "_first_pair", lambda pickup, delivery, instance, worker=0:
+                        evaluated.append((None, pickup.id, delivery.id))
+                        or first(pickup, delivery, instance, worker))
+    for instance in RH_CONTRACT_FLEET:
+        solves = []
+        for objective in ("profit", "requests"):
+            records.clear()
+            evaluated.clear()
+            run_rh(instance, RhConfig(iterations=200, seed=0, objective=objective))
+            record = records[0]
+            assert all(r is record for r in records)
+            outcomes = record.outcomes
+            assert list(outcomes) == list(dict.fromkeys(evaluated))[:cap]
+            counts = Counter(evaluated)
+            assert all(counts[key] == 1 or key[0] is None and outcomes[key] for key in outcomes)
+            solves.append((record, list(evaluated)))
+        # Each solve starts from a fresh record: both objectives make the
+        # same draws, so the same evaluations.
+        (profit_record, profit), (requests_record, requests) = solves
+        assert profit_record is not requests_record and profit == requests
 
 
 @given(st.integers(min_value=0, max_value=5_000), st.sampled_from([1, 2]),
