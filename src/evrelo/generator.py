@@ -9,6 +9,7 @@ generator, so every instance is a pure function of its configuration.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -43,12 +44,15 @@ class GeneratorConfig:
             raise DegenerateConfig("fleet size must be non-negative")
         if self.fleet > self.stations * self.capacity:
             raise DegenerateConfig("fleet does not fit into the stations")
-        if self.horizon <= 0:
-            raise DegenerateConfig("simulation horizon must be positive")
-        if self.demand_rate < 0:
-            raise DegenerateConfig("demand rate must be non-negative")
-        if self.area_km <= 0 or self.detour_factor < 1.0:
-            raise DegenerateConfig("service area must be positive with detour factor >= 1")
+        # Written so that a NaN fails each test; an infinity fails isfinite.
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise DegenerateConfig("simulation horizon must be positive and finite")
+        if not (math.isfinite(self.demand_rate) and self.demand_rate >= 0):
+            raise DegenerateConfig("demand rate must be non-negative and finite")
+        if not (math.isfinite(self.area_km) and self.area_km > 0
+                and math.isfinite(self.detour_factor) and self.detour_factor >= 1.0):
+            raise DegenerateConfig(
+                "service area must be positive with detour factor >= 1, both finite")
 
 
 class _Ev:
@@ -83,7 +87,15 @@ def generate(config):
     Request ids are chronological.  The distance matrix has one row for the
     depot (placed at the center of the service area) and one row per
     request, located at the station that emitted it; road distances are
-    Euclidean distances scaled by a fixed detour factor.
+    Euclidean distances scaled by a fixed detour factor.  Each request row
+    is read from the station-to-station table, so requests at one station
+    share one row object; the diagonal is the table's ``0.0``.
+
+    Each trip's (origin, destination) pair is drawn exactly as
+    ``Generator.choice(p=...)`` draws from the normalised pair weights ``p``:
+    the cumulative table ``p.cumsum()`` divided by its last entry, one
+    ``random()`` per trip and a right-side search.  The table is built once
+    per simulation, not once per trip.
     """
     rng = np.random.default_rng(config.seed)
     params = config.parameters or Parameters()
@@ -101,7 +113,11 @@ def generate(config):
     np.fill_diagonal(weights, 0.0)
     flat = weights.reshape(-1)
     total = float(flat.sum())
-    probs = flat / total if total > 0 else None
+    cdf = None
+    if total > 0:
+        cdf = (flat / total).cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
 
     docked = {s: [] for s in range(config.stations)}
     order = 0
@@ -131,11 +147,11 @@ def generate(config):
     horizon = float(config.horizon)
     for minute in range(int(horizon)):
         land(float(minute))
-        if probs is None or config.stations < 2:
+        if cdf is None or config.stations < 2:
             continue
         trips = int(rng.poisson(config.demand_rate))
         for _ in range(trips):
-            pair = int(rng.choice(flat.size, p=probs))
+            pair = bisect.bisect_right(cdf, rng.random())
             origin, dest = divmod(pair, config.stations)
             if not docked[origin]:
                 needed = float(rng.uniform(0.1, 0.4))
@@ -160,11 +176,12 @@ def generate(config):
 
     stubs.sort(key=lambda s: s[0])
     depot = (config.area_km / 2.0, config.area_km / 2.0)
-    points = [depot] + [coords[s[2]] for s in stubs]
-    distances = tuple(
-        tuple(_road_km(points[i], points[j], config.detour_factor) if i != j else 0.0 for j in range(len(points)))
-        for i in range(len(points))
-    )
+    # math.dist is symmetric, so one depot distance per station serves both
+    # the depot's row and its column.
+    depot_km = [_road_km(depot, c, config.detour_factor) for c in coords]
+    at = [s[2] for s in stubs]
+    rows = [(depot_km[s],) + tuple(station_km[s][t] for t in at) for s in range(config.stations)]
+    distances = ((0.0,) + tuple(depot_km[s] for s in at),) + tuple(rows[s] for s in at)
 
     requests = []
     for idx, (t, kind, station, battery) in enumerate(stubs):

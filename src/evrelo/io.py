@@ -106,15 +106,17 @@ def save_instance(instance, path):
     _write_json(instance_to_dict(instance), path)
 
 
-def _triangle_violations(distances):
+def _triangle_violations(d):
     """Messages for every (i, j, k) with d[i][k] > d[i][j] + d[j][k] + EPS,
-    in i, j, k order; one n-by-n slab per ``i`` keeps memory O(n^2)."""
-    d = np.array(distances, dtype=float)
+    in i, j, k order, for a square float array ``d``; one n-by-n slab per
+    ``i`` keeps memory O(n^2)."""
     bad = []
     for i in range(len(d)):
         # Row j, column k of the slab: d[i][j] + d[j][k], summed in the
         # same order as the scalar expression.
         broken = d[i][None, :] > (d[i][:, None] + d) + EPS
+        if not broken.any():
+            continue
         for j, k in np.argwhere(broken).tolist():
             bad.append(
                 f"triangle inequality broken: distances[{i}][{k}] > "
@@ -128,25 +130,32 @@ def _collect_instance_violations(params, requests, distances, revenue_model=None
 
     The rules an instance shares with ``model`` come from there; the
     matrix entries are checked only here, on outside input, since the
-    triangle check alone costs O(n^3)."""
+    triangle check alone costs O(n^3).
+
+    A square matrix becomes one float array, which serves both checks.
+    When every entry is finite and non-negative and every diagonal entry is
+    within EPS of zero, no entry rule can fire, so the scalar loops are
+    skipped; otherwise they run and name each broken entry in row order."""
     bad = parameter_violations(SimpleNamespace(**params))
     n = len(distances)
     shape = matrix_shape_violations(distances)
     bad += shape
     if not shape:
-        finite = True
-        for i in range(n):
-            if abs(distances[i][i]) > EPS:
-                bad.append(f"distances[{i}][{i}] must be zero")
-            for j in range(n):
-                if not math.isfinite(distances[i][j]):
-                    bad.append(f"distances[{i}][{j}] must be finite")
-                    finite = False
-                elif distances[i][j] < 0:
-                    bad.append(f"distances[{i}][{j}] is negative")
+        # reshape: an empty matrix would otherwise have shape (0,).
+        d = np.array(distances, dtype=float).reshape(n, n)
+        finite = bool(np.isfinite(d).all())
+        if not (finite and (d >= 0).all() and (np.abs(d.diagonal()) <= EPS).all()):
+            for i in range(n):
+                if abs(distances[i][i]) > EPS:
+                    bad.append(f"distances[{i}][{i}] must be zero")
+                for j in range(n):
+                    if not math.isfinite(distances[i][j]):
+                        bad.append(f"distances[{i}][{j}] must be finite")
+                    elif distances[i][j] < 0:
+                        bad.append(f"distances[{i}][{j}] is negative")
         # Only on finite entries: a NaN would fail every comparison.
         if finite:
-            bad.extend(_triangle_violations(distances))
+            bad.extend(_triangle_violations(d))
     records = [SimpleNamespace(**r) for r in requests]
     bad += [message for _, message in request_set_violations(records, n)]
     if revenue_model is not None:
@@ -189,6 +198,9 @@ def load_instance(path):
     for i, row in enumerate(raw_distances):
         if not isinstance(row, list):
             raise ParseError(f"distances[{i}] must be a list", field="distances")
+        if all(type(value) is float for value in row):
+            distances.append(row)
+            continue
         out = []
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -1,6 +1,7 @@
 """Instance generation: simulation invariants, benchmark collections,
 oracle-sized miniatures, and revenue repricing."""
 
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from evrelo.generator import (
     reprice_frc,
     small_instances,
 )
+from evrelo.io import save_instance
 from evrelo.model import RequestKind, RevenueModel
 
 
@@ -101,9 +103,52 @@ def test_config_validation():
         dict(area_km=0.0),
         dict(detour_factor=0.9),
     ]
+    # A NaN fails every comparison and an infinity passes a lower bound, so
+    # each must be refused by name rather than leak from numpy or ``int()``.
+    for name in ("horizon", "demand_rate", "area_km", "detour_factor"):
+        for value in (math.nan, math.inf, -math.inf):
+            bad.append({name: value})
     for kwargs in bad:
         with pytest.raises(DegenerateConfig):
             GeneratorConfig(**kwargs)
+
+
+# The SHA-256 of the ``save_instance`` files of each set, in order, at set
+# seeds 0 and 1.  A faster generator must still write these bytes.
+_SET_DIGESTS = {
+    ("small", 0): "80e67fef70fab1f406493081782ad318ebadd3460cae5d798f36a79b45ddaca5",
+    ("amat_like", 0): "176b688f9f232ea23d9c285a1ea4c82b68990320b3256ee245848f8e84858895",
+    ("vamat_like", 0): "79699293da6ea3905856561208666bc3265ba46b469155390d206c46ac07def1",
+    ("single_station", 0): "6b708132494ffeed055480b2741ef79ee1ba62b307983738ab227f8441a10131",
+    ("zero_demand", 0): "8cc375e8a632214e35193a9b5d4cf880fdb61c7fbab2e9dc188601da231aa756",
+    ("small", 1): "957e2ffc06c14b83912e4a874a20fa1624ed8eca61fd723666d5b45cd5ecf95c",
+    ("amat_like", 1): "9275a82c7b431296c015b034512fb988dcfab834a31b35510cf02a37ffdb9760",
+    ("vamat_like", 1): "49505cfacf4ef61354f2a9ffe0b694026aab8714acb44ebe1d5105a8e17ee3f0",
+    ("single_station", 1): "9a415845f3f70ade27777644f550698058308a57435470c9023c10d40377e8ba",
+    ("zero_demand", 1): "10e4fa95d1b3cdb6f5a3492c7af77b1a7349d0746802837afc59067cb20b835f",
+}
+
+
+def _make_set(name, seed):
+    if name == "small":
+        return small_instances(100, seed=seed)
+    if name == "single_station":  # no trip distribution at all
+        return (generate(GeneratorConfig(stations=1, capacity=4, fleet=2, horizon=120.0,
+                                         demand_rate=0.8, seed=seed)),)
+    if name == "zero_demand":  # a trip distribution that is never drawn from
+        return (generate(GeneratorConfig(stations=6, capacity=3, fleet=9, horizon=240.0,
+                                         demand_rate=0.0, seed=seed)),)
+    return make_benchmark(name, 30, seed=seed)
+
+
+@pytest.mark.parametrize("name, seed", sorted(_SET_DIGESTS))
+def test_generated_files_keep_their_bytes(tmp_path, name, seed):
+    digest = hashlib.sha256()
+    for k, instance in enumerate(_make_set(name, seed)):
+        path = tmp_path / f"{k}.json"
+        save_instance(instance, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _SET_DIGESTS[name, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ diagnostics, and the CSV layouts."""
 
 import csv
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
 from evrelo.errors import InstanceTooLarge, InvariantViolation, ParseError
@@ -235,6 +237,72 @@ def test_non_finite_numbers_rejected(tmp_path):
     ]
 
 
+def _mixed_matrix_document(with_nan):
+    """A document whose matrix breaks every entry rule at once: an
+    int-valued row, a negative entry, a nonzero diagonal, a broken
+    triangle and, optionally, a NaN; plus a parameter and a request rule."""
+    doc = instance_to_dict(single_pair_reference())
+    doc["parameters"]["duty_time"] = -1.0
+    doc["requests"][0]["battery"] = 1.5
+    doc["distances"] = [
+        [0.0, 5.0, 40.0, 7.0, 9.0],
+        [5, 0, 20, 4, 6],
+        [18.0, 20.0, 0.0, 15.0, -1.0],
+        [7.0, 4.0, 15.0, 0.5, 3.0],
+        [9.0, float("nan") if with_nan else 6.0, 13.0, 3.0, 0.0],
+    ]
+    return doc
+
+
+_MIXED_HEAD = [
+    "parameters.duty_time must be strictly positive, got -1.0",
+    "distances[2][4] is negative",
+    "distances[3][3] must be zero",
+]
+_MIXED_TAIL = ["request 1: battery 1.5 outside [0, 1]"]
+
+
+@pytest.mark.parametrize("with_nan, matrix_tail", [
+    # A NaN fails every comparison, so the triangle check is skipped.
+    (True, ["distances[4][1] must be finite"]),
+    (False, [
+        f"triangle inequality broken: distances[{i}][{k}] > "
+        f"distances[{i}][{j}] + distances[{j}][{k}]"
+        for i, j, k in ((0, 1, 2), (0, 3, 2), (0, 4, 2), (1, 3, 2), (1, 4, 2),
+                        (2, 3, 1), (2, 4, 0), (2, 4, 1), (2, 4, 3))
+    ]),
+])
+def test_every_matrix_message_in_order(tmp_path, with_nan, matrix_tail):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_mixed_matrix_document(with_nan)), encoding="utf-8")
+    with pytest.raises(InvariantViolation) as err:
+        load_instance(path)
+    assert err.value.violations == _MIXED_HEAD + matrix_tail + _MIXED_TAIL
+
+
+def test_a_bool_distance_is_a_parse_error(tmp_path):
+    doc = _mixed_matrix_document(False)
+    doc["distances"][3][2] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_instance(path)
+    assert str(err.value) == "distances[3][2] must be a number (field 'distances')"
+    assert err.value.field == "distances"
+
+
+def test_entries_within_tolerance_load(tmp_path):
+    """The clean check allows what the scalar rules allow: a diagonal within
+    EPS of zero, a negative zero, an int-valued row."""
+    doc = instance_to_dict(single_pair_reference())
+    doc["distances"] = [[1e-7, 5, 18], [5.0, -0.0, 20.0], [18.0, 20.0, 0.0]]
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_instance(path)
+    assert loaded.distances == ((1e-7, 5.0, 18.0), (5.0, -0.0, 20.0), (18.0, 20.0, 0.0))
+    assert all(type(v) is float for row in loaded.distances for v in row)
+
+
 def _triangle_reference(distances):
     n = len(distances)
     return [
@@ -259,6 +327,36 @@ def test_triangle_messages_match_the_scalar_triple_loop():
                 if m.startswith("triangle")]
     assert len(messages) > 4
     assert messages == _triangle_reference(distances)
+
+
+def _matrix_reference(distances):
+    """The matrix messages as the plain scalar loops state them."""
+    n = len(distances)
+    bad = []
+    for i in range(n):
+        if abs(distances[i][i]) > 1e-6:
+            bad.append(f"distances[{i}][{i}] must be zero")
+        for j in range(n):
+            if not math.isfinite(distances[i][j]):
+                bad.append(f"distances[{i}][{j}] must be finite")
+            elif distances[i][j] < 0:
+                bad.append(f"distances[{i}][{j}] is negative")
+    if all(math.isfinite(v) for row in distances for v in row):
+        bad += _triangle_reference(distances)
+    return bad
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 2e-6, 1.0, 3.0, 9.0, -1.0,
+                            math.nan, math.inf, -math.inf])
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_matrix_messages_match_the_scalar_loops(distances):
+    params = {name: 1 for name in ("duty_time", "ev_speed", "bike_speed", "park_time",
+                                   "load_time", "full_range", "recharge_time",
+                                   "worker_count", "worker_cost")}
+    assert _collect_instance_violations(params, [], distances) == _matrix_reference(distances)
 
 
 def test_location_outside_matrix_rejected(tmp_path):
