@@ -46,11 +46,17 @@ class OracleLimits:
     packing steps) and is updated in place by ``solve_exact``.  When the
     time budget runs out the search stops cleanly and the best solution
     found so far is returned with its optimality flag cleared.
+    ``time_budget`` is in seconds, None for no budget.
     """
 
     max_requests: int = 10
     time_budget: float | None = None
     nodes: int = field(default=0, compare=False)
+
+    def __post_init__(self):
+        # Written so that NaN fails: a NaN deadline would never be reached.
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be None or a number >= 0, got {self.time_budget!r}")
 
 
 def _advance(state, requests, instance):

@@ -10,7 +10,7 @@ urgency-first construction and its randomized best-of-many variant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GapOutOfRange, UnknownRequest
 from .feasibility import propagate, replay_route, schedule_route
@@ -355,6 +355,8 @@ class RhConfig:
     objective: str = "profit"
 
     def __post_init__(self):
+        if isinstance(self.iterations, bool) or not isinstance(self.iterations, int):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         check_objective(self.objective)
@@ -366,121 +368,196 @@ def _orient(request, partner):
     return partner, request
 
 
-_TRIE_NODE_CAP = 1 << 16
-_UNTRIED = object()
+_GRAPH_CAP = 1 << 16
+_BLOCKED = object()
 
 
-class _Attempts:
-    """The outcome of every insertion attempt one solve made.
+@dataclass(eq=False, slots=True)
+class _State:
+    """A construction state at a pick with nothing blocked, or finished.
 
-    An attempt is keyed by (open route key, pickup id, delivery id), where
-    a route's key is (start time, visit order) and None stands for no open
-    route.  A route is the replay of its visit order from its start, so an
-    attempt's outcome is a pure function of its key: the gap
-    ``best_insertion`` chose, None when no gap admits the pair, or, for a
-    pair opening a route, whether it is feasible.  ``key`` is the key of
-    the open route of the construction under way: ``_construct`` makes it
-    once per placement, and the draw graph keys its states with the same
-    tuple.  At most ``_TRIE_NODE_CAP`` outcomes are held; an attempt the
-    cap refuses is evaluated again whenever it is met.
+    ``routes`` are the closed routes (route i is worker i's), ``current``
+    the open one or None.  ``unserved`` maps the unserved ids, in
+    ``retained``'s order, to their requests, ``live`` counts their unserved
+    partners, and ``rejected`` holds the requests given up, in the order of
+    the walk that made the state.  ``candidates`` are the unserved ids in
+    increasing order, None once finished.  ``after`` maps a candidate id to
+    ``_BLOCKED`` or the next state, and None to where the route close leads.
     """
 
-    def __init__(self):
+    key: tuple
+    routes: tuple
+    current: object
+    unserved: dict
+    live: dict
+    rejected: tuple
+    candidates: list | None
+    after: dict = field(default_factory=dict)
+
+
+class _Graph:
+    """The construction states of one solve, shared by its walks.
+
+    A state's ``key`` is (closed route keys, open route key), a route keyed
+    by (start time, visit order) and no open route by None; a finished
+    state's is (route keys,).  The key fixes the rest of the construction,
+    and whether a pair is placed does not depend on what else is blocked,
+    so ``step`` evaluates a step once and then follows ``after``.
+    ``outcomes`` maps each attempt evaluated, (open route key, pickup id,
+    delivery id), to the gap ``best_insertion`` chose, None if no gap
+    admits the pair, or, for a pair opening a route, whether it is feasible.
+
+    ``open`` counts the untried candidates of the states held and ``ends``
+    the finished states made.  A state weighs one per route and rejected
+    request, four per unserved request (entry, live count, candidate,
+    step), and two.  States are held up to ``_GRAPH_CAP`` of weight and
+    ``outcomes`` up to as many entries.  A state the cap refuses serves
+    only the walk at hand, the step to it stays untried, and ``refused`` is
+    set; ``open`` then no longer counts.
+    """
+
+    def __init__(self, instance, partners, worker_limit):
+        self.instance = instance
+        self.partners = partners
+        self.worker_limit = worker_limit
+        self.states = {}
         self.outcomes = {}
-        self.key = None
+        self.held = 0
+        self.open = 0
+        self.ends = 0
+        self.refused = False
+
+    def start(self, retained):
+        """The first state; a request with no partner retained is rejected."""
+        state = self.states.get(((), None))
+        if state is None:
+            unserved = {r.id: r for r in retained}
+            live = {rid: sum(p.id in unserved for p in self.partners[rid]) for rid in unserved}
+            dead = [rid for rid in unserved if not live[rid]]
+            rejected = tuple(unserved.pop(rid) for rid in dead)
+            state = self._reach(((), None), (), None, unserved, live, rejected)
+        return state
+
+    def step(self, state, rid):
+        """Where trying candidate ``rid`` leads, ``_BLOCKED`` or a state;
+        for None, where closing the open route leads."""
+        nxt = state.after.get(rid)
+        if nxt is None:
+            nxt = self._close(state) if rid is None else self._place(state, rid)
+            if nxt is _BLOCKED or self.states.get(nxt.key) is nxt:
+                state.after[rid] = nxt
+                if rid is not None:
+                    self.open -= 1
+        return nxt
+
+    def _place(self, state, rid):
+        """Couple ``rid`` with its nearest unserved partner and place the
+        pair: opening the next worker's route, or at the cheapest gap."""
+        unserved = state.unserved
+        partner = next(p for p in self.partners[rid] if p.id in unserved)
+        pair = pickup, delivery = _orient(unserved[rid], partner)
+        closed, route_key = state.key
+        attempt = (route_key, pickup.id, delivery.id)
+        outcomes = self.outcomes
+        known = attempt in outcomes
+        outcome = outcomes.get(attempt)
+        placed = None
+        if state.current is None:
+            if not known or outcome:  # a first pair known to fit is built for this worker
+                route, outcome = _first_pair(pickup, delivery, self.instance, worker=len(state.routes))
+                if outcome:
+                    placed = route
+        else:
+            if not known:
+                candidate = best_insertion(state.current, pair, self.instance)
+                outcome = None if candidate is None else candidate.gap
+            if outcome is not None:
+                placed = apply_insertion(state.current, outcome, pair, self.instance)
+        if not known and len(outcomes) < _GRAPH_CAP:
+            outcomes[attempt] = outcome
+        if placed is None:
+            return _BLOCKED
+        # A request whose last unserved partner is placed can never be
+        # served: placing lowers only the live counts of the pair's partners,
+        # and those at zero are rejected in id order.  The relation is
+        # symmetric, so one round suffices.
+        unserved = dict(unserved)
+        del unserved[pickup.id]
+        del unserved[delivery.id]
+        live = dict(state.live)
+        dead = []
+        for p in self.partners[pickup.id] + self.partners[delivery.id]:
+            if p.id in unserved:
+                live[p.id] -= 1
+                if not live[p.id]:
+                    dead.append(p.id)
+        dead.sort()
+        rejected = state.rejected + tuple(unserved.pop(rid) for rid in dead)
+        key = (closed, (placed.start_time, placed.request_ids))
+        return self._reach(key, state.routes, placed, unserved, live, rejected)
+
+    def _close(self, state):
+        """Close the open route, if any; the construction goes on only if
+        a route closed and a worker and an unserved request are left."""
+        closed, route_key = state.key
+        routes = state.routes
+        key = (closed,)
+        if state.current is not None:
+            routes += (state.current,)
+            closed += (route_key,)
+            key = (closed, None) if len(routes) < self.worker_limit and state.unserved else (closed,)
+        return self._reach(key, routes, None, state.unserved, state.live, state.rejected)
+
+    def _reach(self, key, routes, current, unserved, live, rejected):
+        """The state of ``key``; a new one is held if the cap allows."""
+        state = self.states.get(key)
+        if state is None:
+            candidates = sorted(unserved) if len(key) == 2 else None
+            state = _State(key, routes, current, unserved, live, rejected, candidates)
+            if candidates is None:
+                self.ends += 1
+            weight = 2 + len(routes) + len(rejected) + 4 * len(unserved)
+            if self.held + weight <= _GRAPH_CAP:
+                self.states[key] = state
+                self.held += weight
+                self.open += len(candidates or ())
+            else:
+                self.refused = True
+        return state
 
 
-def _construct(instance, retained, partners, choose, worker_limit, attempts=None):
+def _construct(instance, retained, partners, choose, worker_limit, graph=None):
     """Shared construction skeleton of the deterministic and randomized
     drivers.
 
     ``choose(candidates, unserved, instance, current, routes)`` picks the
-    next request to place from the currently placeable candidates, given
-    the open route (None while none is open) and the list of closed routes;
-    everything after that choice - partner coupling, first-pair timing,
-    cheapest-gap insertion - is common.  A route closes when no
-    candidate fits it; construction ends when a fresh route cannot take any
-    pair or the workers run out.
-
-    Each attempt is looked up in ``attempts`` (an ``_Attempts`` of the
-    solve; a fresh one by default) before it is evaluated, and its outcome
-    is stored there once evaluated.  A known placement is re-applied:
-    ``apply_insertion`` at the stored gap, or the first pair built for the
-    next worker.  So the constructions are those of evaluating every
-    attempt, workers included, for any record of the same instance,
-    retained set and partners.
-
-    A request with no unserved partner left can never be served and is
-    rejected.  ``live`` counts each unserved request's unserved partners:
-    placing a pair lowers only the counts of its two requests' partners, and
-    those that reach zero are rejected in id order (``retained`` comes in id
-    order, as ``preprocess`` returns it).  The partner relation is symmetric,
-    so a rejected request is nobody's live partner and one round suffices.
+    next request to place from the placeable candidates, given the open
+    route (None while none is open) and the closed routes; everything after
+    that choice - partner coupling, first-pair timing, cheapest-gap
+    insertion - is common.  A candidate that does not fit is blocked until
+    the next placement; when all are, the route closes.  The construction
+    walks ``graph`` (a fresh ``_Graph`` by default) one ``step`` per pick
+    and per close, so it is the same for any graph of the same instance,
+    retained set, partners and worker limit.  Returns (routes, rejected) as
+    lists, rejected in the order this walk gave them up.
     """
-    if attempts is None:
-        attempts = _Attempts()
-    outcomes = attempts.outcomes
-    attempts.key = None
-    unserved = {r.id: r for r in retained}
-    live = {rid: sum(p.id in unserved for p in partners[rid]) for rid in unserved}
-    dead = [rid for rid in unserved if not live[rid]]
-    rejected = []
-    routes = []
-    current = None
-    blocked = set()
-    while True:
-        for rid in dead:
-            rejected.append(unserved.pop(rid))
-        dead = []
-        candidates = [rid for rid in sorted(unserved) if rid not in blocked]
-        if not candidates:
-            if current is not None:
-                routes.append(current)
-                current = attempts.key = None
-                blocked.clear()
-                if len(routes) < worker_limit and unserved:
-                    continue
-            break
-        rid = choose(candidates, unserved, instance, current, routes)
-        request = unserved[rid]
-        partner = next(p for p in partners[rid] if p.id in unserved)
-        pair = pickup, delivery = _orient(request, partner)
-        attempt = (attempts.key, pickup.id, delivery.id)
-        outcome = outcomes.get(attempt, _UNTRIED)
-        untried = outcome is _UNTRIED
-        placed = None
-        if current is None:
-            if outcome:  # untried, or known to fit: built for this worker
-                route, outcome = _first_pair(pickup, delivery, instance, worker=len(routes))
-                if outcome:
-                    placed = route
-        else:
-            if untried:
-                candidate = best_insertion(current, pair, instance)
-                outcome = None if candidate is None else candidate.gap
-            if outcome is not None:
-                placed = apply_insertion(current, outcome, pair, instance)
-        if untried and len(outcomes) < _TRIE_NODE_CAP:
-            outcomes[attempt] = outcome
-        if placed is None:
-            blocked.add(rid)
-            continue
-        current = placed
-        attempts.key = (placed.start_time, placed.request_ids)
-        del unserved[pickup.id]
-        del unserved[delivery.id]
-        blocked.clear()
-        for placed_id in (pickup.id, delivery.id):
-            for p in partners[placed_id]:
-                if p.id in unserved:
-                    live[p.id] -= 1
-                    if not live[p.id]:
-                        dead.append(p.id)
-        dead.sort()
-    if current is not None:
-        routes.append(current)
-    rejected.extend(unserved.values())
-    return routes, rejected
+    if graph is None:
+        graph = _Graph(instance, partners, worker_limit)
+    state = graph.start(retained)
+    rejected = list(state.rejected)
+    while state.candidates is not None:
+        left = list(state.candidates)
+        while True:
+            rid = choose(left, state.unserved, instance, state.current, state.routes) if left else None
+            nxt = graph.step(state, rid)
+            if nxt is not _BLOCKED:
+                break
+            left.remove(rid)
+        if len(nxt.rejected) > len(state.rejected):
+            known = {r.id for r in state.rejected}
+            rejected += sorted((r for r in nxt.rejected if r.id not in known), key=lambda r: r.id)
+        state = nxt
+    return list(state.routes), rejected + list(state.unserved.values())
 
 
 def _urgency_order(partners):
@@ -516,129 +593,6 @@ def run_ch(instance, objective="profit"):
     return assemble_solution(routes, instance)
 
 
-_BLOCKED = -1
-_FINISHED = -2
-
-
-class _DrawTrie:
-    """The draw graph of the constructions one ``run_rh`` call built.
-
-    A node is a construction state at a pick with nothing blocked: the
-    first pick, and each pick after a placement or a route close.  The rest
-    of the construction then depends only on the closed and the open
-    routes (the unserved requests are the retained ones not served that
-    keep an unserved partner), so a node is keyed by the number of closed
-    routes and the routes, each as (start time, visit order), and
-    constructions that reach the same state share it.
-
-    Whether an attempt is placed does not depend on what else is blocked,
-    so ``rows[node][position]`` records once where trying the node's
-    candidate at ``position`` leads: ``_BLOCKED``, the next node, or
-    ``_FINISHED`` when the construction ends; None until tried.  The last
-    slot records where the route close after every candidate was blocked
-    leads.  ``_construct`` is a pure function of the draws, so a walk along
-    recorded slots to ``_FINISHED`` repeats a construction already built.
-
-    ``open`` counts the candidates of recorded nodes not tried yet; at 0,
-    every walk ends on a finished construction.  (A close needs no count:
-    the construction that reaches it records it.)  The graph holds at most
-    ``_TRIE_NODE_CAP`` slots, a key counting one per route it names, so
-    memory stays bounded at any iteration count.  A node refused for the
-    cap leaves its slot open for good.
-    """
-
-    def __init__(self):
-        self.rows = []
-        self.states = {}
-        self.held = 0
-        self.open = 0
-
-    def walk(self, rng):
-        """Draw from ``rng`` along the recorded slots, exactly as the
-        construction would.  Returns (built, path): ``built`` is True when
-        the draws end on a finished construction; ``path`` lists the
-        (candidate count, draw) pairs made, a prefix to replay otherwise."""
-        path = []
-        node = 0 if self.rows else None
-        while node is not None and node != _FINISHED:
-            row = self.rows[node]
-            left = list(range(len(row) - 1))
-            node = _BLOCKED
-            while node == _BLOCKED:
-                slot = -1
-                if left:
-                    draw = rng.randrange(len(left))
-                    path.append((len(left), draw))
-                    slot = left.pop(draw)
-                node = row[slot]
-        return node is not None, path
-
-    def _add(self, count, size):
-        """A new node offering ``count`` candidates; ``size`` more slots
-        count against the cap for its key."""
-        self.rows.append([None] * (count + 1))
-        self.open += count
-        self.held += count + 1 + size
-        return len(self.rows) - 1
-
-    def _node(self, entry, named):
-        """The node of the pick that made ``entry`` (count, draw, open route
-        key, number of closed routes), added if new; ``named`` holds each
-        built route's key, (start time, visit order).  None when the cap
-        refuses it."""
-        count, _, route_key, k = entry
-        key = (k, *named[:k]) if route_key is None else (k, *named[:k], route_key)
-        node = self.states.get(key)
-        if node is None and self.held + count + 1 + len(key) <= _TRIE_NODE_CAP:
-            node = self.states[key] = self._add(count, len(key))
-        return node
-
-    def record(self, path, routes):
-        """Add the finished construction that made the picks in ``path`` and
-        built ``routes``, as far as the cap allows.  Each ``path`` entry of
-        a pick with nothing blocked also carries the open route's key (None
-        when no route is open) and the number of closed routes there.  An
-        attempt's outcome is read off the pick after it: one with something
-        blocked follows a blocked attempt, one with a route open a
-        placement, one with none a route close; after the last pick, the
-        placed pairs tell."""
-        if not self.rows:
-            self._add(path[0][0] if path else 0, 0)
-        named = [(route.start_time, route.request_ids) for route in routes]
-        pairs = sum(len(visits) for _, visits in named) // 2
-        end = len(path)
-        placed = step = node = 0
-        while node != _FINISHED:
-            row = self.rows[node]
-            left = list(range(len(row) - 1))
-            node = _BLOCKED
-            while node == _BLOCKED and left:
-                slot = left.pop(path[step][1])
-                step += 1
-                node = row[slot]
-                if node is None:
-                    after = path[step] if step < end else None
-                    if after is None:
-                        node = _FINISHED if placed + 1 == pairs else _BLOCKED
-                    elif len(after) == 2 or after[2] is None:
-                        node = _BLOCKED
-                    else:
-                        node = self._node(after, named)
-                        if node is None:
-                            return
-                    row[slot] = node
-                    self.open -= 1
-                placed += node != _BLOCKED
-            if node == _BLOCKED:
-                node = row[-1]
-                if node is None:
-                    node = _FINISHED if step == end else self._node(path[step], named)
-                    if node is None:
-                        self.open += 1
-                        return
-                    row[-1] = node
-
-
 def run_rh(instance, config=None):
     """Randomized best-of-many construction.
 
@@ -649,55 +603,34 @@ def run_rh(instance, config=None):
     keeping ties.  Fully deterministic for a given seed: iteration i draws
     from its own generator seeded from (seed, i).
 
-    An iteration whose draws lead to a construction already built, by the
-    same draws or through construction states other iterations reached, is
-    skipped without building it: under the earliest-wins tie rule a repeat
-    can never win, so the result is the same as building every iteration.
-    Once every candidate of every state reached has been tried, every later
-    iteration would be such a repeat, and the loop stops early with the
-    same result; ``config.iterations`` is an upper bound.  The draw graph
-    is bounded by ``_TRIE_NODE_CAP``; once it is full, only repeats of what
-    it holds are skipped and every iteration runs.
-
-    The constructions a call builds share one ``_Attempts`` record, so an
-    insertion attempt met again - in a replayed prefix, or by another
-    iteration - is looked up, not evaluated again.  It is bounded by the
-    same cap, and it lives for the call only: it is never shared across
-    calls, objectives or instances.
+    The iterations of a call walk one ``_Graph``: a step taken before is
+    followed, not evaluated again, and no prefix is rebuilt.  Only an
+    iteration that ends in a finished state not made before is scored:
+    under the earliest-wins tie rule a repeat can never win.  Once every
+    candidate of every held state has been tried and the cap refused no
+    state, every later iteration would repeat, and the loop stops early
+    with the same result; ``config.iterations`` is an upper bound.  The
+    graph lives for the call.
     """
     config = config or RhConfig()
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
     limit = instance.parameters.worker_count
-    built = _DrawTrie()
-    attempts = _Attempts()
+    graph = _Graph(instance, partners, limit)
     best = None
     best_value = None
     for i in range(config.iterations):
         rng = random.Random(config.seed * 1_000_003 + i)
-        repeat, path = built.walk(rng)
-        if repeat:
-            continue
-        replay = [draw for _, draw in reversed(path)]
-
-        def pick(candidates, unserved, instance, current, routes):
-            if replay:
-                return candidates[replay.pop()]
-            count = len(candidates)
-            draw = rng.randrange(count)
-            # Nothing blocked: a pick ``_DrawTrie`` keys by state.
-            path.append((count, draw, attempts.key, len(routes)) if count == len(unserved)
-                        else (count, draw))
-            return candidates[draw]
-
-        routes, _ = _construct(instance, retained, partners, pick, limit, attempts)
-        built.record(path, routes)
-        if config.objective == "profit":
-            routes = paying_routes(routes, instance)
-        solution = assemble_solution(routes, instance)
-        value = objective_value(solution, config.objective)
-        if best is None or value > best_value:
-            best, best_value = solution, value
-        if not built.open:
+        ends = graph.ends
+        routes, _ = _construct(instance, retained, partners,
+                               lambda left, *_: left[rng.randrange(len(left))], limit, graph)
+        if graph.ends > ends:
+            if config.objective == "profit":
+                routes = paying_routes(routes, instance)
+            solution = assemble_solution(routes, instance)
+            value = objective_value(solution, config.objective)
+            if best is None or value > best_value:
+                best, best_value = solution, value
+        if not graph.open and not graph.refused:
             break
     return best

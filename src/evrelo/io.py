@@ -308,14 +308,18 @@ def load_solution(path):
     optimal = doc.get("optimal")
     if optimal is not None and not isinstance(optimal, bool):
         raise ParseError("optimal must be a boolean or null", field="optimal")
-    served = _field(doc, "served", list, "document")
-    rejected = _field(doc, "rejected", list, "document")
-    if not all(isinstance(x, int) for x in served + rejected):
-        raise ParseError("served and rejected must hold request ids", field="served")
+    ids = {}
+    for name in ("served", "rejected"):
+        listed = _field(doc, name, list, "document")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in listed):
+            raise ParseError(f"{name} must hold request ids", field=name)
+        ids[name] = frozenset(listed)
+        if len(ids[name]) != len(listed):
+            raise ParseError(f"{name} lists a request id more than once", field=name)
     return Solution(
         routes=tuple(routes),
-        served=frozenset(served),
-        rejected=frozenset(rejected),
+        served=ids["served"],
+        rejected=ids["rejected"],
         total_revenue=_finite(doc, "total_revenue", "document"),
         worker_cost=_finite(doc, "worker_cost", "document"),
         profit=_finite(doc, "profit", "document"),

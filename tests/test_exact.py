@@ -141,6 +141,17 @@ def test_exact_time_budget_clears_optimality_flag():
     assert relaxed.optimal is True
 
 
+def test_oracle_limits_refuse_a_nan_or_negative_budget():
+    # A NaN budget would mean no budget: no deadline comparison holds.
+    for budget in (float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError, match="time_budget"):
+            OracleLimits(time_budget=budget)
+    with pytest.raises(TypeError):
+        OracleLimits(time_budget="60")
+    assert OracleLimits(time_budget=0).time_budget == 0
+    assert OracleLimits(time_budget=None).time_budget is None
+
+
 def _masks_digest(masks):
     """SHA-256 over every served set and the exact values of its route."""
     rows = sorted(

@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -431,6 +430,10 @@ def test_ch_rejects_unknown_objective():
 def test_rh_config_validation():
     with pytest.raises(ValueError):
         RhConfig(iterations=0)
+    # Not an integer: 2.5 would fail inside run_rh and True run one iteration.
+    for iterations in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            RhConfig(iterations=iterations)
     with pytest.raises(ValueError):
         RhConfig(objective="fastest")
 
@@ -597,7 +600,7 @@ def test_rh_equals_building_every_iteration(node_cap, monkeypatch):
     # A cap of 3 nodes fills the trie on the first construction of any
     # instance that draws more than twice, so the full-trie path runs.
     if node_cap is not None:
-        monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", node_cap)
+        monkeypatch.setattr(insertion, "_GRAPH_CAP", node_cap)
     for instance in RH_CONTRACT_FLEET:
         for objective in ("profit", "requests"):
             for seed in (0, 1):
@@ -622,7 +625,8 @@ def test_rh_earliest_of_tied_iterations_wins():
 
 
 def _rh_edges(instance, config):
-    """(entries, offered) of each RH iteration, every construction built.
+    """(entries, offered, routes) of each RH iteration, every construction
+    built.
 
     A state is the construction at a pick with nothing blocked: its closed
     routes and its open route, each as (start time, visit order).  An
@@ -650,34 +654,33 @@ def _rh_edges(instance, config):
                                instance.parameters.worker_count)
         if edges and not any(edges[-1][1] in r.request_ids for r in routes):
             edges.append((edges[-1][0], None))
-        yield edges, offered
+        yield edges, offered, tuple(routes)
 
 
 def _count_rh_work(monkeypatch):
-    """Patch RH to log its walks and, for each construction it builds, the
-    index of the iteration (the walk) that built it."""
+    """Patch RH to log each ``_construct`` call it makes (one per iteration
+    run) and, for each iteration it scores, the index of that iteration."""
     walks, built = [], []
-    walk = insertion._DrawTrie.walk
-    monkeypatch.setattr(insertion._DrawTrie, "walk",
-                        lambda self, rng: walks.append(None) or walk(self, rng))
     construct = insertion._construct
     monkeypatch.setattr(insertion, "_construct",
-                        lambda *args: built.append(len(walks) - 1) or construct(*args))
+                        lambda *args: walks.append(args[-1]) or construct(*args))
+    assemble = insertion.assemble_solution
+    monkeypatch.setattr(insertion, "assemble_solution",
+                        lambda *args: built.append(len(walks) - 1) or assemble(*args))
     return walks, built
 
 
 def test_rh_builds_the_iterations_that_reach_an_unseen_edge(monkeypatch):
-    # The draw graph does not depend on the objective, so one suffices.
-    # It stops after the iteration that leaves no candidate of a state
-    # reached untried.
+    # The graph does not depend on the objective, so one suffices.  It
+    # stops after the iteration that leaves no candidate of a state reached
+    # untried, and scores the first iteration of each construction.
     config = RhConfig(iterations=200, seed=0, objective="profit")
     walks, built = _count_rh_work(monkeypatch)
     for instance in RH_CONTRACT_FLEET:
-        seen, expected, states = set(), [], {}
-        for i, (edges, offered) in enumerate(_rh_edges(instance, config)):
-            if not i or not seen.issuperset(edges):
-                expected.append(i)
-                seen.update(edges)
+        seen, firsts, states = set(), {}, {}
+        for i, (edges, offered, routes) in enumerate(_rh_edges(instance, config)):
+            firsts.setdefault(routes, i)
+            seen.update(edges)
             states.update(offered)
             if sum(states.values()) == sum(rid is not None for _, rid in seen):
                 break
@@ -685,11 +688,11 @@ def test_rh_builds_the_iterations_that_reach_an_unseen_edge(monkeypatch):
         walks.clear()
         built.clear()
         run_rh(instance, config)
-        assert built == expected
+        assert built == list(firsts.values())
         assert len(walks) == i + 1
         assert len(built) <= len(sequences)
     # Two workers, 15-29 draws per construction: every iteration draws a
-    # new sequence, yet most only repeat attempts other iterations made.
+    # new sequence, yet few build a construction not built before.
     assert len(built) < len(sequences) == config.iterations
 
 
@@ -702,38 +705,68 @@ def test_rh_stops_once_every_draw_is_taken(monkeypatch):
             assert len(walks) < 10_000
 
 
+# Iterations ``run_rh`` runs on each RH_CONTRACT_FLEET instance, for the
+# objectives profit and requests and the seeds 0 and 1 in turn, at 200
+# iterations: where each solve stops once its draws can reach nothing new.
+RH_CONTRACT_STOPS = (
+    1, 1, 1, 1, 88, 148, 88, 148, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7,
+    1, 1, 1, 1, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 10, 27, 10, 27,
+    1, 1, 1, 1, 65, 72, 65, 72, 44, 109, 44, 109, 200, 200, 200, 200,
+)
+
+
+def test_rh_stops_where_it_always_stopped(monkeypatch):
+    walks, _ = _count_rh_work(monkeypatch)
+    stops = []
+    for instance in RH_CONTRACT_FLEET:
+        for objective in ("profit", "requests"):
+            for seed in (0, 1):
+                walks.clear()
+                run_rh(instance, RhConfig(iterations=200, seed=seed, objective=objective))
+                stops.append(len(walks))
+    assert tuple(stops) == RH_CONTRACT_STOPS
+
+
 def test_rh_runs_every_iteration_once_the_graph_is_full(monkeypatch):
-    # These make more than three attempts per construction, so a cap of 3
-    # entries fills on the first one.
-    monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", 3)
+    # These hold more than three requests, so no state fits a cap of 3.
+    monkeypatch.setattr(insertion, "_GRAPH_CAP", 3)
     walks, _ = _count_rh_work(monkeypatch)
     for instance in RH_CONTRACT_FLEET[-3:]:
         config = RhConfig(iterations=200, seed=0, objective="profit")
         walks.clear()
         solution = run_rh(instance, config)
         assert len(walks) == config.iterations
+        assert walks[0].refused
         assert solution == _rh_reference(instance, config)
 
 
 def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
-    # Made-up picks: either first candidate opens route r, whose two
-    # candidates are blocked; the node after r closes does not fit the cap.
-    # Every candidate is then tried, yet the close leads nowhere recorded.
-    monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", 10)
-    r = SimpleNamespace(start_time=0.0, request_ids=(1, 2))
-    s = SimpleNamespace(start_time=5.0, request_ids=(3, 4))
-    graph = insertion._DrawTrie()
-    for first in (0, 1):
-        graph.record([(2, first, None, 0), (2, 0, (r.start_time, r.request_ids), 0), (1, 0),
-                      (2, 0, None, 1)], [r, s])
-        assert len(graph.rows) == 2
-    assert graph.open
+    # Two workers with duty time for one pair each: a route closes after its
+    # first pair.  Once the start state (2 + 4 * 4) and a state after a first
+    # placement (2 + 4 * 2) are held, a cap of 38 leaves no room for a state
+    # after a close (3 + 4 * 2), so RH runs every iteration.
+    inst = _line(
+        [_pickup(1, 1, (0.0, 500.0)), _delivery(2, 2, (0.0, 500.0)),
+         _pickup(3, 3, (0.0, 500.0)), _delivery(4, 4, (0.0, 500.0))],
+        coords=[10.0, 11.0, -10.0, -11.0], duty_time=120.0, worker_count=2,
+    )
+    monkeypatch.setattr(insertion, "_GRAPH_CAP", 38)
+    walks, _ = _count_rh_work(monkeypatch)
+    config = RhConfig(iterations=50, seed=0, objective="requests")
+    solution = run_rh(inst, config)
+    graph = walks[0]
+    assert all(g is graph for g in walks)
+    after_close = [key for key in graph.states if len(key) == 2 and key[0] and key[1] is None]
+    assert graph.refused and not after_close
+    assert len(walks) == config.iterations
+    assert len(solution.served) == 4
+    assert solution == _rh_reference(inst, config)
 
 
 def test_construct_shares_one_attempt_record_across_pickers():
-    # One record met by the urgency picker and seeded ones, as RH's
+    # One graph met by the urgency picker and seeded ones, as RH's
     # iterations meet theirs, each picker twice: every construction equals
-    # the one a fresh record gives, workers included.
+    # the one a fresh graph gives, workers and rejection order included.
     vamat = make_benchmark("vamat_like", 30, seed=0)
     for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
         partners = compatible_partners(instance)
@@ -741,10 +774,29 @@ def test_construct_shares_one_attempt_record_across_pickers():
         pickers = [lambda: _urgency_order(partners)]
         pickers += [functools.partial(_seeded_picker, seed) for seed in range(4)]
         for limit in (1, instance.parameters.worker_count):
-            shared = insertion._Attempts()
+            shared = insertion._Graph(instance, partners, limit)
             for make_picker in pickers * 2:
                 assert _construct(instance, retained, partners, make_picker(), limit, shared) == \
-                    _construct(instance, retained, partners, make_picker(), limit, insertion._Attempts())
+                    _construct(instance, retained, partners, make_picker(), limit)
+
+
+def test_construct_gives_requests_up_in_its_own_order():
+    # On these, walks that place the same pairs in another order meet in a
+    # state whose rejected requests were given up in another order; each
+    # walk still returns its own order, that of a fresh graph.
+    met = 0
+    for seed in (62, 107, 109, 147):
+        instance = synthetic_instance(random.Random(seed),
+                                      params=Parameters(worker_count=2, duty_time=200.0))
+        partners = compatible_partners(instance)
+        retained, _ = preprocess(instance, partners)
+        shared = insertion._Graph(instance, partners, 2)
+        for picks in range(60):
+            routes, rejected = _construct(instance, retained, partners, _seeded_picker(picks), 2, shared)
+            assert (routes, rejected) == _construct(instance, retained, partners, _seeded_picker(picks), 2)
+            end = shared.states[(tuple((r.start_time, r.request_ids) for r in routes),)]
+            met += rejected != [*end.rejected, *end.unserved.values()]
+    assert met
 
 
 @pytest.mark.parametrize("cap", [None, 5])
@@ -753,8 +805,8 @@ def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
     # ``cap`` keys evaluated; none of those is evaluated twice, except a
     # first pair known to fit, built again for the worker that opens it.
     if cap is not None:
-        monkeypatch.setattr(insertion, "_TRIE_NODE_CAP", cap)
-    cap = insertion._TRIE_NODE_CAP
+        monkeypatch.setattr(insertion, "_GRAPH_CAP", cap)
+    cap = insertion._GRAPH_CAP
     records, evaluated = [], []
     construct, best, first = insertion._construct, insertion.best_insertion, insertion._first_pair
     monkeypatch.setattr(insertion, "_construct",

@@ -152,6 +152,25 @@ def test_solution_parse_diagnostics(tmp_path):
         load_solution(path2)
 
 
+@pytest.mark.parametrize("name", ["served", "rejected"])
+@pytest.mark.parametrize("listed, message", [
+    ([True, 2], "must hold request ids"),
+    ([1.0, 2], "must hold request ids"),
+    ([2, 2], "more than once"),
+], ids=["bool", "float", "repeat"])
+def test_solution_ids_fail_closed(tmp_path, name, listed, message):
+    # A bool would load as request 1 and a repeated id would collapse, both
+    # into a solution that validates.
+    solution = run_ch(single_pair_reference(), objective="requests")
+    doc = solution_to_dict(solution)
+    doc[name] = listed
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as err:
+        load_solution(path)
+    assert err.value.field == name
+
+
 def test_solution_non_finite_numbers_rejected(tmp_path):
     solution = run_ch(single_pair_reference(), objective="requests")
     path = tmp_path / "nan.solution.json"
