@@ -54,6 +54,10 @@ class OracleLimits:
     nodes: int = field(default=0, compare=False)
 
     def __post_init__(self):
+        # A NaN cap would be no cap: ``n > nan`` never holds.
+        cap = self.max_requests
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+            raise ValueError(f"max_requests must be an integer >= 0, got {cap!r}")
         # Written so that NaN fails: a NaN deadline would never be reached.
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be None or a number >= 0, got {self.time_budget!r}")

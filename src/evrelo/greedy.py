@@ -83,7 +83,7 @@ def delivery_feasible(position, delivery, instance):
     park_time``.  The replay leaves at ``max(arrival + park_time,
     tw_min)``, so when the EV arrives before the window opens the screen
     over-counts by up to ``park_time`` and can reject a delivery that fits
-    (ROADMAP item 3).  Raises WrongKind if ``delivery`` is not a delivery
+    (ROADMAP item 2).  Raises WrongKind if ``delivery`` is not a delivery
     or no EV is held.
     """
     if delivery.kind is not RequestKind.DELIVERY:

@@ -3,8 +3,9 @@
 This module houses the structured heuristics: urgency scoring of requests,
 screening of pickup/delivery pairs, the zero-waiting timing of the first pair
 of a route, the exact time-extension arithmetic for inserting a pair into an
-existing route, and the two drivers built on top - a deterministic
-urgency-first construction and its randomized best-of-many variant.
+existing route, and the one best-of-walks driver built on top: a
+deterministic urgency-first construction (one walk) and its randomized
+best-of-many variant (one uniform draw per walk).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def pair_necessary_feasible(pickup, delivery, instance):
     the actual schedule).  Failing one is meant to prove the pair useless,
     but the delivery-window screen adds ``park_time``, which the validator
     does not, so it drops some pairs whose one-pair route validates
-    (ROADMAP item 3).
+    (ROADMAP item 2).
     """
     par = instance.parameters
     dist = instance.distances
@@ -230,10 +231,6 @@ class InsertionCandidate:
     time_extension: float
 
 
-def _gap_count(route):
-    return len(route.visits) // 2 + 1
-
-
 def _new_start(route, gap, pair, instance):
     """The depot departure once ``pair`` is inserted at ``gap``: kept, except
     at gap 0, where ``init_first_pair``'s timing of the new first pair sets
@@ -298,34 +295,14 @@ def time_extension(route, gap, pair, instance):
     return duration_change
 
 
-def insertion_feasible(route, gap, pair, instance):
-    """True when inserting ``pair`` at ``gap`` keeps the route feasible.
-
-    Exact for a feasible route: the verdict is True precisely when the
-    applied insertion replays clean through the validator, duty time
-    included.
-    """
-    feasible, _ = _simulate_insertion(route, gap, pair, instance)
-    return feasible
-
-
 def apply_insertion(route, gap, pair, instance):
     """Return the route with ``pair`` spliced in at ``gap``, fully re-timed."""
-    pickup, delivery = pair
     visits = route.visits
     n = len(visits) // 2
     if not 0 <= gap <= n:
         raise GapOutOfRange(f"gap {gap} outside 0..{n}")
-    order = []
-    for i in range(n):
-        if i == gap:
-            order += [pickup, delivery]
-        order += [
-            instance.request(visits[2 * i].request_id),
-            instance.request(visits[2 * i + 1].request_id),
-        ]
-    if gap == n:
-        order += [pickup, delivery]
+    order = [instance.request(v.request_id) for v in visits]
+    order[2 * gap:2 * gap] = pair
     start = _new_start(route, gap, pair, instance)
     return replay_route(instance, start, order, worker=route.worker)
 
@@ -335,7 +312,7 @@ def best_insertion(route, pair, instance):
     time extension, ties resolved toward the earliest gap.  None when no gap
     admits the pair."""
     best = None
-    for gap in range(_gap_count(route)):
+    for gap in range(len(route.visits) // 2 + 1):
         feasible, change = _simulate_insertion(route, gap, pair, instance)
         if feasible and (best is None or change < best.time_extension - EPS):
             best = InsertionCandidate(pair[0].id, pair[1].id, gap, change)
@@ -355,8 +332,10 @@ class RhConfig:
     objective: str = "profit"
 
     def __post_init__(self):
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, int):
-            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         check_objective(self.objective)
@@ -374,15 +353,15 @@ _BLOCKED = object()
 
 @dataclass(eq=False, slots=True)
 class _State:
-    """A construction state at a pick with nothing blocked, or finished.
+    """A construction state at a pick with nothing blocked, or finished
+    (a ``key`` of one item).
 
     ``routes`` are the closed routes (route i is worker i's), ``current``
     the open one or None.  ``unserved`` maps the unserved ids, in
-    ``retained``'s order, to their requests, ``live`` counts their unserved
-    partners, and ``rejected`` holds the requests given up, in the order of
-    the walk that made the state.  ``candidates`` are the unserved ids in
-    increasing order, None once finished.  ``after`` maps a candidate id to
-    ``_BLOCKED`` or the next state, and None to where the route close leads.
+    increasing order, to their requests; they are the candidates of a
+    pick.  ``live`` counts their unserved partners.  ``after`` maps a
+    candidate id to ``_BLOCKED`` or the next state, and None to where the
+    route close leads.
     """
 
     key: tuple
@@ -390,53 +369,46 @@ class _State:
     current: object
     unserved: dict
     live: dict
-    rejected: tuple
-    candidates: list | None
     after: dict = field(default_factory=dict)
 
 
 class _Graph:
-    """The construction states of one solve, shared by its walks.
+    """The construction states of one solve over ``retained`` (in id
+    order, as ``preprocess`` returns it), shared by its walks.
 
     A state's ``key`` is (closed route keys, open route key), a route keyed
     by (start time, visit order) and no open route by None; a finished
     state's is (route keys,).  The key fixes the rest of the construction,
     and whether a pair is placed does not depend on what else is blocked,
     so ``step`` evaluates a step once and then follows ``after``.
-    ``outcomes`` maps each attempt evaluated, (open route key, pickup id,
-    delivery id), to the gap ``best_insertion`` chose, None if no gap
-    admits the pair, or, for a pair opening a route, whether it is feasible.
+    ``root`` is the first state, where a request with no partner retained
+    is given up.  ``outcomes`` maps each attempt evaluated, (open route
+    key, pickup id, delivery id), to the gap ``best_insertion`` chose, None
+    if no gap admits the pair, or, for a pair opening a route, whether it
+    is feasible.
 
     ``open`` counts the untried candidates of the states held and ``ends``
-    the finished states made.  A state weighs one per route and rejected
-    request, four per unserved request (entry, live count, candidate,
-    step), and two.  States are held up to ``_GRAPH_CAP`` of weight and
-    ``outcomes`` up to as many entries.  A state the cap refuses serves
+    the finished states made.  A state weighs two, one per route and four
+    per unserved request.  States are held up to ``_GRAPH_CAP`` of weight
+    and ``outcomes`` up to as many entries.  A state the cap refuses serves
     only the walk at hand, the step to it stays untried, and ``refused`` is
     set; ``open`` then no longer counts.
     """
 
-    def __init__(self, instance, partners, worker_limit):
+    def __init__(self, instance, retained, partners):
         self.instance = instance
+        self.retained = retained
         self.partners = partners
-        self.worker_limit = worker_limit
         self.states = {}
         self.outcomes = {}
         self.held = 0
         self.open = 0
         self.ends = 0
         self.refused = False
-
-    def start(self, retained):
-        """The first state; a request with no partner retained is rejected."""
-        state = self.states.get(((), None))
-        if state is None:
-            unserved = {r.id: r for r in retained}
-            live = {rid: sum(p.id in unserved for p in self.partners[rid]) for rid in unserved}
-            dead = [rid for rid in unserved if not live[rid]]
-            rejected = tuple(unserved.pop(rid) for rid in dead)
-            state = self._reach(((), None), (), None, unserved, live, rejected)
-        return state
+        ids = {r.id for r in retained}
+        live = {r.id: sum(p.id in ids for p in partners[r.id]) for r in retained}
+        unserved = {r.id: r for r in retained if live[r.id]}
+        self.root = self._reach(((), None), (), None, unserved, live)
 
     def step(self, state, rid):
         """Where trying candidate ``rid`` leads, ``_BLOCKED`` or a state;
@@ -479,22 +451,19 @@ class _Graph:
             return _BLOCKED
         # A request whose last unserved partner is placed can never be
         # served: placing lowers only the live counts of the pair's partners,
-        # and those at zero are rejected in id order.  The relation is
-        # symmetric, so one round suffices.
+        # and those at zero are given up.  The relation is symmetric, so one
+        # round suffices.
         unserved = dict(unserved)
         del unserved[pickup.id]
         del unserved[delivery.id]
         live = dict(state.live)
-        dead = []
         for p in self.partners[pickup.id] + self.partners[delivery.id]:
             if p.id in unserved:
                 live[p.id] -= 1
                 if not live[p.id]:
-                    dead.append(p.id)
-        dead.sort()
-        rejected = state.rejected + tuple(unserved.pop(rid) for rid in dead)
+                    del unserved[p.id]
         key = (closed, (placed.start_time, placed.request_ids))
-        return self._reach(key, state.routes, placed, unserved, live, rejected)
+        return self._reach(key, state.routes, placed, unserved, live)
 
     def _close(self, state):
         """Close the open route, if any; the construction goes on only if
@@ -505,76 +474,104 @@ class _Graph:
         if state.current is not None:
             routes += (state.current,)
             closed += (route_key,)
-            key = (closed, None) if len(routes) < self.worker_limit and state.unserved else (closed,)
-        return self._reach(key, routes, None, state.unserved, state.live, state.rejected)
+            going_on = len(routes) < self.instance.parameters.worker_count and state.unserved
+            key = (closed, None) if going_on else (closed,)
+        return self._reach(key, routes, None, state.unserved, state.live)
 
-    def _reach(self, key, routes, current, unserved, live, rejected):
+    def _reach(self, key, routes, current, unserved, live):
         """The state of ``key``; a new one is held if the cap allows."""
         state = self.states.get(key)
         if state is None:
-            candidates = sorted(unserved) if len(key) == 2 else None
-            state = _State(key, routes, current, unserved, live, rejected, candidates)
-            if candidates is None:
-                self.ends += 1
-            weight = 2 + len(routes) + len(rejected) + 4 * len(unserved)
+            state = _State(key, routes, current, unserved, live)
+            finished = len(key) == 1
+            self.ends += finished
+            weight = 2 + len(routes) + 4 * len(unserved)
             if self.held + weight <= _GRAPH_CAP:
                 self.states[key] = state
                 self.held += weight
-                self.open += len(candidates or ())
+                self.open += 0 if finished else len(unserved)
             else:
                 self.refused = True
         return state
 
 
-def _construct(instance, retained, partners, choose, worker_limit, graph=None):
-    """Shared construction skeleton of the deterministic and randomized
-    drivers.
+def _construct(graph, choose):
+    """One walk of ``graph`` from its root to a finished state.
 
-    ``choose(candidates, unserved, instance, current, routes)`` picks the
-    next request to place from the placeable candidates, given the open
-    route (None while none is open) and the closed routes; everything after
-    that choice - partner coupling, first-pair timing, cheapest-gap
-    insertion - is common.  A candidate that does not fit is blocked until
-    the next placement; when all are, the route closes.  The construction
-    walks ``graph`` (a fresh ``_Graph`` by default) one ``step`` per pick
-    and per close, so it is the same for any graph of the same instance,
-    retained set, partners and worker limit.  Returns (routes, rejected) as
-    lists, rejected in the order this walk gave them up.
+    ``choose(left, state)`` picks the next request to place from ``left``,
+    the candidates of ``state`` not blocked yet; everything after that
+    choice - partner coupling, first-pair timing, cheapest-gap insertion -
+    is the graph's ``step``.  A candidate that does not fit is blocked
+    until the next placement; when all are, the route closes.  The walk is
+    the same on any graph of the same instance, retained set and partners.
+    Returns (routes, rejected) as lists, rejected holding the retained
+    requests no route serves, in id order.
     """
-    if graph is None:
-        graph = _Graph(instance, partners, worker_limit)
-    state = graph.start(retained)
-    rejected = list(state.rejected)
-    while state.candidates is not None:
-        left = list(state.candidates)
+    state = graph.root
+    while len(state.key) == 2:
+        left = list(state.unserved)
         while True:
-            rid = choose(left, state.unserved, instance, state.current, state.routes) if left else None
+            rid = choose(left, state) if left else None
             nxt = graph.step(state, rid)
             if nxt is not _BLOCKED:
                 break
             left.remove(rid)
-        if len(nxt.rejected) > len(state.rejected):
-            known = {r.id for r in state.rejected}
-            rejected += sorted((r for r in nxt.rejected if r.id not in known), key=lambda r: r.id)
         state = nxt
-    return list(state.routes), rejected + list(state.unserved.values())
+    served = {rid for route in state.routes for rid in route.request_ids}
+    return list(state.routes), [r for r in graph.retained if r.id not in served]
 
 
-def _urgency_order(partners):
+def _urgency_order(graph):
     """Picker of the most urgent candidate: lowest score, then lowest id."""
+    partners, instance = graph.partners, graph.instance
 
-    def pick(candidates, unserved, instance, current, routes):
-        scored = []
-        for rid in candidates:
-            live = [p for p in partners[rid] if p.id in unserved]
-            scored.append((critical_factor(unserved[rid], live, instance), rid))
-        return min(scored)[1]
+    def pick(left, state):
+        unserved = state.unserved
+        return min((critical_factor(unserved[rid], [p for p in partners[rid] if p.id in unserved],
+                                    instance), rid) for rid in left)[1]
 
     return pick
 
 
+def _uniform_draw(seed):
+    """Picker of a uniformly drawn candidate, from its own generator."""
+    rng = random.Random(seed)
+    return lambda left, state: left[rng.randrange(len(left))]
+
+
+def _best_of_walks(instance, objective, pickers):
+    """The best solution of the walks of one ``_Graph``, one per picker of
+    ``pickers(graph)``, earlier walks keeping ties.
+
+    Screens the partners and preprocesses once.  Only a walk that ends in
+    a finished state not made before is scored: under the earliest-wins
+    rule a repeat can never win.  With the profit objective, routes that
+    do not pay for their worker are dropped before scoring.  Once every
+    candidate of every held state has been tried and the cap refused no
+    state, every later walk would repeat, and the loop stops.
+    """
+    check_objective(objective)
+    partners = compatible_partners(instance)
+    retained, _ = preprocess(instance, partners)
+    graph = _Graph(instance, retained, partners)
+    best = best_value = None
+    for choose in pickers(graph):
+        ends = graph.ends
+        routes, _ = _construct(graph, choose)
+        if graph.ends > ends:
+            if objective == "profit":
+                routes = paying_routes(routes, instance)
+            solution = assemble_solution(routes, instance)
+            value = objective_value(solution, objective)
+            if best is None or value > best_value:
+                best, best_value = solution, value
+        if not graph.open and not graph.refused:
+            break
+    return best
+
+
 def run_ch(instance, objective="profit"):
-    """Urgency-first construction.
+    """Urgency-first construction: ``_best_of_walks`` with one walk.
 
     Serves the hardest request first: the unserved request of lowest urgency
     score is coupled with its nearest compatible partner and inserted where
@@ -582,55 +579,21 @@ def run_ch(instance, objective="profit"):
     are given up.  With the profit objective, routes that do not pay for
     their worker are discarded at the end.
     """
-    check_objective(objective)
-    partners = compatible_partners(instance)
-    retained, _ = preprocess(instance, partners)
-    routes, _ = _construct(
-        instance, retained, partners, _urgency_order(partners), instance.parameters.worker_count
-    )
-    if objective == "profit":
-        routes = paying_routes(routes, instance)
-    return assemble_solution(routes, instance)
+    return _best_of_walks(instance, objective, lambda graph: [_urgency_order(graph)])
 
 
 def run_rh(instance, config=None):
-    """Randomized best-of-many construction.
+    """Randomized best-of-many construction: ``_best_of_walks`` with one
+    walk per iteration.
 
-    Each iteration rebuilds solutions with the urgency-driven choice replaced
-    by a uniform draw over the placeable requests; partner coupling and
-    cheapest-gap insertion stay exactly as in the deterministic driver.  The
-    best solution under the configured objective wins, earlier iterations
-    keeping ties.  Fully deterministic for a given seed: iteration i draws
-    from its own generator seeded from (seed, i).
-
-    The iterations of a call walk one ``_Graph``: a step taken before is
-    followed, not evaluated again, and no prefix is rebuilt.  Only an
-    iteration that ends in a finished state not made before is scored:
-    under the earliest-wins tie rule a repeat can never win.  Once every
-    candidate of every held state has been tried and the cap refused no
-    state, every later iteration would repeat, and the loop stops early
-    with the same result; ``config.iterations`` is an upper bound.  The
-    graph lives for the call.
+    Each iteration replaces the urgency-driven choice of ``run_ch`` by a
+    uniform draw over the placeable requests, from its own generator seeded
+    from (seed, i) and made when the iteration starts, so a seed fixes the
+    result.  The best solution under the configured objective wins, earlier
+    iterations keeping ties.  A step taken before is followed, not
+    evaluated again; once the graph is exhausted the loop stops with the
+    same result, so ``config.iterations`` is an upper bound.
     """
     config = config or RhConfig()
-    partners = compatible_partners(instance)
-    retained, _ = preprocess(instance, partners)
-    limit = instance.parameters.worker_count
-    graph = _Graph(instance, partners, limit)
-    best = None
-    best_value = None
-    for i in range(config.iterations):
-        rng = random.Random(config.seed * 1_000_003 + i)
-        ends = graph.ends
-        routes, _ = _construct(instance, retained, partners,
-                               lambda left, *_: left[rng.randrange(len(left))], limit, graph)
-        if graph.ends > ends:
-            if config.objective == "profit":
-                routes = paying_routes(routes, instance)
-            solution = assemble_solution(routes, instance)
-            value = objective_value(solution, config.objective)
-            if best is None or value > best_value:
-                best, best_value = solution, value
-        if not graph.open and not graph.refused:
-            break
-    return best
+    return _best_of_walks(instance, config.objective, lambda graph: (
+        _uniform_draw(config.seed * 1_000_003 + i) for i in range(config.iterations)))

@@ -18,8 +18,8 @@ from evrelo.generator import small_instances
 from evrelo.greedy import GreedyPolicy, run_greedy
 from evrelo.insertion import (
     RhConfig,
+    _simulate_insertion,
     apply_insertion,
-    insertion_feasible,
     materialize_first_pair,
     run_ch,
     run_rh,
@@ -125,7 +125,7 @@ def grow_route(instance, rng):
     for pair in pairs[1:]:
         feasible_gaps = []
         for gap in range(len(route.visits) // 2 + 1):
-            if insertion_feasible(route, gap, pair, instance):
+            if _simulate_insertion(route, gap, pair, instance)[0]:
                 cases.append((route, gap, pair))
                 feasible_gaps.append(gap)
         if feasible_gaps:

@@ -152,6 +152,14 @@ def test_oracle_limits_refuse_a_nan_or_negative_budget():
     assert OracleLimits(time_budget=None).time_budget is None
 
 
+def test_oracle_limits_refuse_a_cap_that_is_no_whole_count():
+    # A NaN cap would be no cap: ``n > nan`` never holds.
+    for cap in (float("nan"), True, 2.5, 10.0, -1, "10", None):
+        with pytest.raises(ValueError, match="max_requests"):
+            OracleLimits(max_requests=cap)
+    assert OracleLimits(max_requests=0).max_requests == 0
+
+
 def _masks_digest(masks):
     """SHA-256 over every served set and the exact values of its route."""
     rows = sorted(

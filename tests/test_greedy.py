@@ -93,7 +93,7 @@ def test_select_next_measures_from_current_position(fork):
 
 
 @pytest.mark.xfail(strict=True, reason="the duty screen books park_time after the "
-                   "window opening (ROADMAP item 3)")
+                   "window opening (ROADMAP item 2)")
 def test_delivery_screen_admits_a_delivery_whose_route_fits():
     # 1 km takes 1 minute on both vehicles.  The EV reaches the delivery at
     # 21, parks by 22 and waits until the window opens at 30: home at 50,

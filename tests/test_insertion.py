@@ -2,9 +2,9 @@
 insertion simulation, and the two insertion-based construction drivers."""
 
 import dataclasses
-import functools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +16,7 @@ from evrelo.feasibility import validate_route, validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
     RhConfig,
+    _Graph,
     _construct,
     _first_pair,
     _simulate_insertion,
@@ -26,7 +27,6 @@ from evrelo.insertion import (
     compatible_partners,
     critical_factor,
     init_first_pair,
-    insertion_feasible,
     materialize_first_pair,
     pair_necessary_feasible,
     preprocess,
@@ -121,7 +121,7 @@ def test_pair_screen_duty_boundary():
 
 
 @pytest.mark.xfail(strict=True, reason="the delivery-window screen adds park_time "
-                   "the validator does not (ROADMAP item 3)")
+                   "the validator does not (ROADMAP item 2)")
 def test_pair_screen_keeps_a_pair_whose_route_validates():
     # Arrival at the delivery is 10 + 1 + 10 = 21 <= 21.5, but the screen
     # also adds the 1 minute of parking.
@@ -310,7 +310,7 @@ def test_time_extension_absorbed_by_downstream_waiting():
     inst, route, pair = _coincident_instance(park=1.0, load=1.0, second_open=50.0)
     assert route.duration == pytest.approx(50.0)
     assert time_extension(route, 1, pair, inst) == pytest.approx(0.0)
-    assert insertion_feasible(route, 1, pair, inst)
+    assert _simulate_insertion(route, 1, pair, inst)[0]
     widened = apply_insertion(route, 1, pair, inst)
     assert widened.request_ids == (1, 2, 5, 6, 3, 4)
     assert widened.duration == pytest.approx(route.duration)
@@ -333,14 +333,14 @@ def test_insertion_infeasible_on_zero_duty_budget():
     inst, route, pair = _coincident_instance(park=15.0, load=15.0, second_open=0.0)
     snug = dataclasses.replace(inst, parameters=dataclasses.replace(
         inst.parameters, duty_time=route.duration))
-    assert not insertion_feasible(route, 1, pair, snug)
+    assert not _simulate_insertion(route, 1, pair, snug)[0]
     # the duration change itself is still reported
     assert time_extension(route, 1, pair, snug) == pytest.approx(30.0)
 
 
 def test_insertion_feasible_with_slack_everywhere():
     inst, route, pair = _coincident_instance(park=1.0, load=1.0, second_open=50.0)
-    assert all(insertion_feasible(route, gap, pair, inst) for gap in (0, 1, 2))
+    assert all(_simulate_insertion(route, gap, pair, inst)[0] for gap in (0, 1, 2))
 
 
 def test_gap_out_of_range():
@@ -360,7 +360,7 @@ def test_simulation_names_an_unknown_request():
         with pytest.raises(UnknownRequest):
             time_extension(route, gap, pair, stranger)
         with pytest.raises(UnknownRequest):
-            insertion_feasible(route, gap, pair, stranger)
+            _simulate_insertion(route, gap, pair, stranger)
         with pytest.raises(UnknownRequest):
             apply_insertion(route, gap, pair, stranger)
 
@@ -434,6 +434,10 @@ def test_rh_config_validation():
     for iterations in (2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError, match="iterations must be an integer"):
             RhConfig(iterations=iterations)
+    # A bool would run as seed 0 or 1, a float seed every iteration's generator.
+    for seed in (True, False, 0.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RhConfig(seed=seed)
     with pytest.raises(ValueError):
         RhConfig(objective="fastest")
 
@@ -468,12 +472,11 @@ def _rh_every_iteration(instance, config):
         rng = random.Random(config.seed * 1_000_003 + i)
         draws = []
 
-        def pick(candidates, unserved, instance, *_):
-            draws.append(rng.randrange(len(candidates)))
-            return candidates[draws[-1]]
+        def pick(left, state):
+            draws.append(rng.randrange(len(left)))
+            return left[draws[-1]]
 
-        routes, _ = _construct(instance, retained, partners, pick,
-                               instance.parameters.worker_count)
+        routes, _ = _construct(_Graph(instance, retained, partners), pick)
         if config.objective == "profit":
             routes = paying_routes(routes, instance)
         solution = assemble_solution(routes, instance)
@@ -529,7 +532,7 @@ def _construct_full_scan(instance, retained, partners, choose, worker_limit):
                 if len(routes) < worker_limit and unserved:
                     continue
             break
-        rid = choose(candidates, unserved, instance, current, routes)
+        rid = choose(candidates, SimpleNamespace(unserved=unserved, current=current, routes=tuple(routes)))
         request = unserved[rid]
         partner = next(p for p in partners[rid] if p.id in unserved)
         pickup, delivery = _orient(request, partner)
@@ -552,12 +555,23 @@ def _construct_full_scan(instance, retained, partners, choose, worker_limit):
     if current is not None:
         routes.append(current)
     rejected.extend(unserved.values())
-    return routes, rejected
+    return routes, sorted(rejected, key=lambda r: r.id)
 
 
 def _seeded_picker(seed):
     rng = random.Random(seed)
-    return lambda candidates, unserved, instance, *_: candidates[rng.randrange(len(candidates))]
+    return lambda left, state: left[rng.randrange(len(left))]
+
+
+def _pickers():
+    """Picker makers, each called with the graph walked: the urgency
+    picker and four seeded draws."""
+    return [_urgency_order, *(lambda graph, seed=seed: _seeded_picker(seed) for seed in range(4))]
+
+
+def _with_workers(instance, count):
+    return dataclasses.replace(instance, parameters=dataclasses.replace(
+        instance.parameters, worker_count=count))
 
 
 def test_construct_matches_the_full_partner_scan():
@@ -569,14 +583,13 @@ def test_construct_matches_the_full_partner_scan():
         # Every request preprocess keeps has a partner; the whole request
         # list also has some without one from the start.
         everyone = tuple(sorted(instance.requests, key=lambda r: r.id))
-        pickers = [lambda: _urgency_order(partners)]
-        pickers += [functools.partial(_seeded_picker, seed) for seed in range(4)]
         for retained in (preprocess(instance, partners)[0], everyone):
-            for make_picker in pickers:
+            for make_picker in _pickers():
                 for limit in (1, instance.parameters.worker_count):
-                    routes, rejected = _construct(instance, retained, partners, make_picker(), limit)
+                    graph = _Graph(_with_workers(instance, limit), retained, partners)
+                    routes, rejected = _construct(graph, make_picker(graph))
                     assert (routes, rejected) == _construct_full_scan(
-                        instance, retained, partners, make_picker(), limit)
+                        instance, retained, partners, make_picker(graph), limit)
 
 
 def test_first_pair_is_judged_in_the_replay_that_builds_it():
@@ -639,7 +652,8 @@ def _rh_edges(instance, config):
         rng = random.Random(config.seed * 1_000_003 + i)
         edges, offered = [], {}
 
-        def pick(candidates, unserved, instance, current, routes):
+        def pick(candidates, at):
+            unserved, current, routes = at.unserved, at.current, at.routes
             state = edges[-1][0] if edges else None
             if len(candidates) == len(unserved):
                 if current is None and routes:
@@ -650,8 +664,7 @@ def _rh_edges(instance, config):
             edges.append((state, candidates[rng.randrange(len(candidates))]))
             return edges[-1][1]
 
-        routes, _ = _construct(instance, retained, partners, pick,
-                               instance.parameters.worker_count)
+        routes, _ = _construct(_Graph(instance, retained, partners), pick)
         if edges and not any(edges[-1][1] in r.request_ids for r in routes):
             edges.append((edges[-1][0], None))
         yield edges, offered, tuple(routes)
@@ -663,7 +676,7 @@ def _count_rh_work(monkeypatch):
     walks, built = [], []
     construct = insertion._construct
     monkeypatch.setattr(insertion, "_construct",
-                        lambda *args: walks.append(args[-1]) or construct(*args))
+                        lambda *args: walks.append(args[0]) or construct(*args))
     assemble = insertion.assemble_solution
     monkeypatch.setattr(insertion, "assemble_solution",
                         lambda *args: built.append(len(walks) - 1) or assemble(*args))
@@ -766,37 +779,17 @@ def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
 def test_construct_shares_one_attempt_record_across_pickers():
     # One graph met by the urgency picker and seeded ones, as RH's
     # iterations meet theirs, each picker twice: every construction equals
-    # the one a fresh graph gives, workers and rejection order included.
+    # the one a fresh graph gives, workers and rejected requests included.
     vamat = make_benchmark("vamat_like", 30, seed=0)
     for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
         partners = compatible_partners(instance)
         retained, _ = preprocess(instance, partners)
-        pickers = [lambda: _urgency_order(partners)]
-        pickers += [functools.partial(_seeded_picker, seed) for seed in range(4)]
         for limit in (1, instance.parameters.worker_count):
-            shared = insertion._Graph(instance, partners, limit)
-            for make_picker in pickers * 2:
-                assert _construct(instance, retained, partners, make_picker(), limit, shared) == \
-                    _construct(instance, retained, partners, make_picker(), limit)
-
-
-def test_construct_gives_requests_up_in_its_own_order():
-    # On these, walks that place the same pairs in another order meet in a
-    # state whose rejected requests were given up in another order; each
-    # walk still returns its own order, that of a fresh graph.
-    met = 0
-    for seed in (62, 107, 109, 147):
-        instance = synthetic_instance(random.Random(seed),
-                                      params=Parameters(worker_count=2, duty_time=200.0))
-        partners = compatible_partners(instance)
-        retained, _ = preprocess(instance, partners)
-        shared = insertion._Graph(instance, partners, 2)
-        for picks in range(60):
-            routes, rejected = _construct(instance, retained, partners, _seeded_picker(picks), 2, shared)
-            assert (routes, rejected) == _construct(instance, retained, partners, _seeded_picker(picks), 2)
-            end = shared.states[(tuple((r.start_time, r.request_ids) for r in routes),)]
-            met += rejected != [*end.rejected, *end.unserved.values()]
-    assert met
+            limited = _with_workers(instance, limit)
+            shared = _Graph(limited, retained, partners)
+            for make_picker in _pickers() * 2:
+                fresh = _Graph(limited, retained, partners)
+                assert _construct(shared, make_picker(shared)) == _construct(fresh, make_picker(fresh))
 
 
 @pytest.mark.parametrize("cap", [None, 5])
@@ -810,7 +803,7 @@ def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
     records, evaluated = [], []
     construct, best, first = insertion._construct, insertion.best_insertion, insertion._first_pair
     monkeypatch.setattr(insertion, "_construct",
-                        lambda *args: records.append(args[-1]) or construct(*args))
+                        lambda *args: records.append(args[0]) or construct(*args))
     monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance: evaluated.append(
         ((route.start_time, route.request_ids), pair[0].id, pair[1].id))
         or best(route, pair, instance))
@@ -900,7 +893,7 @@ def test_best_insertion_agrees_with_gap_scan(seed):
         feasible = [
             (time_extension(route, gap, pair, instance), gap)
             for gap in range(gaps)
-            if insertion_feasible(route, gap, pair, instance)
+            if _simulate_insertion(route, gap, pair, instance)[0]
         ]
         best = best_insertion(route, pair, instance)
         if not feasible:
