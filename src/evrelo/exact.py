@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge
-from .feasibility import propagate, replay_route, validate_route
+from .feasibility import propagate, replay_route, route_start, validate_route
 from .model import (
     EPS,
-    RequestKind,
     assemble_solution,
     check_objective,
     empty_solution,
@@ -106,8 +105,8 @@ class _Label:
 
 def _depot_label(first, instance):
     """Label of the empty sequence for routes that open at ``first``."""
-    ride = instance.bike_minutes(0, first.location)
-    lo, hi = first.tw_min - ride, first.tw_max - ride
+    lo = route_start(instance, first, first.tw_min)
+    hi = route_start(instance, first, first.tw_max)
     return _Label(lo, hi, (True, True, lo, 0), (True, True, hi, 0))
 
 
@@ -161,35 +160,19 @@ def _child_label(parent, seq, pickup, delivery, instance):
     return None
 
 
-def _sequence_route(seq, start, dep, instance):
-    """Feasible stored route for a sequence, or None.
-
-    ``start`` and ``dep`` are the sequence's ``_Label``'s; the route must also
-    fit the ride home into the duty time, and the materialized route must
-    replay clean through the validator.
-    """
-    if not dep + instance.bike_minutes(seq[-1].location, 0) - start <= instance.parameters.duty_time + EPS:
-        return None
-    route = replay_route(instance, start, seq)
-    return route if validate_route(route, instance).ok else None
-
-
 def _feasible_route_masks(instance, limits, deadline):
     """Map from served-id frozenset to one representative feasible route.
 
     Depth-first over pair sequences in id order, each node carrying its
     sequence's label so that a child is judged by walking one pair on from
-    its parent's end states; the first sequence found for a served set is
-    its representative, and later ones are not materialized.  Returns
-    (masks, complete) where complete is False when the time budget cut the
-    enumeration short.
+    its parent's end states.  A served set's representative is its first
+    sequence whose route, replayed from the label's start, passes the
+    validator (which adds the ride home and judges the duty time); later
+    sequences are not materialized.  Returns (masks, complete) where
+    complete is False when the time budget cut the enumeration short.
     """
-    pickups = sorted(
-        (r for r in instance.requests if r.kind is RequestKind.PICKUP), key=lambda r: r.id
-    )
-    deliveries = sorted(
-        (r for r in instance.requests if r.kind is RequestKind.DELIVERY), key=lambda r: r.id
-    )
+    pickups = sorted(instance.pickups, key=lambda r: r.id)
+    deliveries = sorted(instance.deliveries, key=lambda r: r.id)
     masks = {}
     complete = True
 
@@ -202,8 +185,8 @@ def _feasible_route_masks(instance, limits, deadline):
         if seq:
             key = frozenset(used)
             if key not in masks:
-                route = _sequence_route(seq, label.start, label.dep, instance)
-                if route is not None:
+                route = replay_route(instance, label.start, seq)
+                if validate_route(route, instance).ok:
                     masks[key] = route
         for p in pickups:
             if p.id in used:

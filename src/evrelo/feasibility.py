@@ -15,9 +15,12 @@ the visit order.  Walking the visits forward:
 
 This recurrence is written once, in ``propagate``; the replay, the
 validator, insertion simulation, the exact solver's departure scan and the
-greedy delivery screen all call it.  ``validate_route`` replays a stored
-route with it and is the single source of feasibility truth in the package:
-every solver accepts a route only if the validator would.
+greedy delivery screen all call it.  A route's two ends are written once
+too: ``route_start`` is the depot departure that reaches the first pickup
+at a given time, and ``route_end`` adds the ride home to the last departure
+and judges the duty time.  ``validate_route`` replays a stored route with
+them and is the single source of feasibility truth in the package: every
+solver accepts a route only if the validator would.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ __all__ = [
     "Violation",
     "propagate",
     "replay_route",
-    "route_start_for_pickup",
+    "route_end",
+    "route_start",
     "schedule_route",
     "validate_route",
     "validate_solution",
@@ -99,10 +103,18 @@ def propagate(instance, dep, loc, requests):
     return stops, dep, failures
 
 
-def route_start_for_pickup(pickup, instance):
-    """Depot departure that lands the worker on ``pickup`` exactly when its
-    window opens (no waiting at the first stop)."""
-    return pickup.tw_min - instance.bike_minutes(0, pickup.location)
+def route_start(instance, pickup, arrival):
+    """Depot departure that lands the worker on ``pickup`` at ``arrival``."""
+    return arrival - instance.distances[0][pickup.location] * 60.0 / instance.parameters.bike_speed
+
+
+def route_end(instance, start_time, dep, last):
+    """(end_time, fits) of a route that left the depot at ``start_time`` and
+    leaves its ``last`` stop at ``dep``: the return to the depot, and whether
+    the route fits into the duty time.  Fails closed on NaN."""
+    par = instance.parameters
+    end_time = dep + instance.distances[last.location][0] * 60.0 / par.bike_speed
+    return end_time, end_time - start_time <= par.duty_time + EPS
 
 
 def schedule_route(instance, start_time, ordered_requests, worker=0):
@@ -120,8 +132,8 @@ def schedule_route(instance, start_time, ordered_requests, worker=0):
             or any(r.kind is not RequestKind.DELIVERY for r in reqs[1::2])):
         raise WrongKind("a route must alternate pickup, delivery, ..., delivery")
     stops, dep, failures = propagate(instance, start_time, 0, reqs)
-    end_time = dep + instance.bike_minutes(reqs[-1].location, 0)
-    if not end_time - start_time <= instance.parameters.duty_time + EPS:
+    end_time, fits = route_end(instance, start_time, dep, reqs[-1])
+    if not fits:
         failures.append(("duty", None))
     visits = tuple(ScheduledVisit(r.id, *stop) for r, stop in zip(reqs, stops))
     route = RouteSchedule(worker=worker, start_time=start_time, visits=visits, end_time=end_time)

@@ -318,9 +318,7 @@ def small_instances(count, seed=0, revenue_model=None):
             area_km=6.0,
         )
         inst = generate(cfg)
-        pickups = sum(1 for r in inst.requests if r.kind is RequestKind.PICKUP)
-        deliveries = len(inst.requests) - pickups
-        cap = min(4, pickups, deliveries)
+        cap = min(4, len(inst.pickups), len(inst.deliveries))
         out.append(_truncate(inst, cap, cap))
     return tuple(out)
 

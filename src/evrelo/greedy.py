@@ -12,7 +12,7 @@ import enum
 from typing import NamedTuple, Optional
 
 from .errors import WrongKind
-from .feasibility import propagate, replay_route, route_start_for_pickup
+from .feasibility import propagate, replay_route, route_start
 from .model import EPS, Request, RequestKind, assemble_solution, paying_routes
 
 
@@ -40,7 +40,7 @@ class Position(NamedTuple):
 def opening_position(pickup, instance):
     """The depot position of a route whose first stop will be ``pickup``,
     reached exactly when its window opens."""
-    start = route_start_for_pickup(pickup, instance)
+    start = route_start(instance, pickup, pickup.tw_min)
     return Position(0, start, start)
 
 

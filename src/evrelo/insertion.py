@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GapOutOfRange, UnknownRequest
-from .feasibility import propagate, replay_route, schedule_route
+from .feasibility import propagate, replay_route, route_end, route_start, schedule_route
 from .model import (
     EPS,
     RequestKind,
@@ -65,8 +65,7 @@ def compatible_partners(instance):
     sorted by parking distance (ties by id).  Computed once per instance;
     the screening conditions do not depend on solver state, and each pair
     is screened once for both of its requests."""
-    pickups = [r for r in instance.requests if r.kind is RequestKind.PICKUP]
-    deliveries = [r for r in instance.requests if r.kind is RequestKind.DELIVERY]
+    pickups, deliveries = instance.pickups, instance.deliveries
     good = {r.id: [] for r in pickups + deliveries}
     for p in pickups:
         for d in deliveries:
@@ -179,7 +178,7 @@ def _first_pair_times(pickup, delivery, instance):
     handling = par.park_time + par.load_time
     completion = max(delivery.tw_min, pickup.tw_min + t + handling)
     pickup_arrival = min(pickup.tw_max, completion - t - handling)
-    start = pickup_arrival - dist[0][pickup.location] * 60.0 / par.bike_speed
+    start = route_start(instance, pickup, pickup_arrival)
     return completion, pickup_arrival, pickup_arrival + t + handling, start
 
 
@@ -278,9 +277,8 @@ def _simulate_insertion(route, gap, pair, instance):
     except KeyError as exc:
         raise UnknownRequest(f"no request with id {exc.args[0]}") from None
     _, dep, failures = propagate(instance, dep, loc, order)
-    duration = dep + instance.distances[order[-1].location][0] * 60.0 / par.bike_speed - new_start
-    feasible = not failures and duration <= par.duty_time + EPS
-    return feasible, duration - route.duration
+    end, fits = route_end(instance, new_start, dep, order[-1])
+    return not failures and fits, (end - new_start) - route.duration
 
 
 def time_extension(route, gap, pair, instance):

@@ -38,6 +38,8 @@ FORMAT_VERSION = 1
 _PARAMETER_FIELDS, _REQUEST_FIELDS, _REVENUE_FIELDS = (
     tuple(f.name for f in fields(cls)) for cls in (Parameters, Request, RevenueModel)
 )
+# The request fields read from a file as something other than a number.
+_REQUEST_TYPES = {"id": int, "kind": str, "location": int}
 
 
 def _field(mapping, name, kinds, where):
@@ -180,15 +182,8 @@ def load_instance(path):
     requests = []
     for i, raw in enumerate(raw_requests):
         where = f"requests[{i}]"
-        rec = {
-            "id": _field(raw, "id", int, where),
-            "kind": _field(raw, "kind", str, where),
-            "location": _field(raw, "location", int, where),
-            "tw_min": _field(raw, "tw_min", float, where),
-            "tw_max": _field(raw, "tw_max", float, where),
-            "battery": _field(raw, "battery", float, where),
-            "revenue": _field(raw, "revenue", float, where),
-        }
+        rec = {name: _field(raw, name, _REQUEST_TYPES.get(name, float), where)
+               for name in _REQUEST_FIELDS}
         if rec["kind"] not in ("pickup", "delivery"):
             raise ParseError(f"{where}.kind must be 'pickup' or 'delivery'", field="kind")
         requests.append(rec)

@@ -80,14 +80,16 @@ def matrix_shape_violations(distances):
 def request_set_violations(requests, n):
     """Every broken rule of a request set on an ``n``-location matrix, as
     (error type, message) pairs, request by request: a repeated id, the
-    request's own fields, a location outside 1..n-1 (row 0 is the depot)."""
+    request's own fields (except for a ``Request``, which checked them when
+    it was built), a location outside 1..n-1 (row 0 is the depot)."""
     bad = []
     seen = set()
     for r in requests:
         if r.id in seen:
             bad.append((InvalidInstance, f"request {r.id}: duplicate id"))
         seen.add(r.id)
-        bad += [(ValueError, message) for message in request_violations(r)]
+        if not isinstance(r, Request):
+            bad += [(ValueError, message) for message in request_violations(r)]
         if not 1 <= r.location < n:
             bad.append((IndexOutOfRange,
                         f"request {r.id}: location {r.location} outside the distance matrix"))
@@ -226,11 +228,11 @@ class Instance:
         except KeyError:
             raise UnknownRequest(f"no request with id {request_id}") from None
 
-    @property
+    @cached_property
     def pickups(self):
         return tuple(r for r in self.requests if r.kind is RequestKind.PICKUP)
 
-    @property
+    @cached_property
     def deliveries(self):
         return tuple(r for r in self.requests if r.kind is RequestKind.DELIVERY)
 

@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 
 from conftest import grow_route, single_pair_reference, synthetic_instance
 from evrelo.errors import WrongKind
+from evrelo.exact import solve_exact
 from evrelo.feasibility import (
     propagate,
     replay_route,
-    route_start_for_pickup,
+    route_start,
+    schedule_route,
     validate_route,
     validate_solution,
 )
@@ -25,7 +27,7 @@ from evrelo.greedy import (
     run_greedy,
     select_next,
 )
-from evrelo.insertion import run_ch
+from evrelo.insertion import _simulate_insertion, run_ch
 from evrelo.model import (
     Instance,
     Parameters,
@@ -65,7 +67,7 @@ def test_pickup_arrival_after_delivery_leg():
 def test_first_pickup_start_backdated_to_window_opening():
     inst = single_pair_reference()
     pickup = inst.request(1)
-    start = route_start_for_pickup(pickup, inst)
+    start = route_start(inst, pickup, pickup.tw_min)
     assert start == pytest.approx(80.0)
     route = replay_route(inst, start, _reference_pair(inst))
     assert route.visits[0].arrival == pytest.approx(100.0)
@@ -312,6 +314,40 @@ def test_validate_route_flags_duty_exceeded_by_one_minute():
         inst.parameters, duty_time=143.0))
     result = validate_route(_valid_route(inst), tight)
     assert any(v.code == "duty" for v in result.violations)
+
+
+def _duty_line_instance(duty_time):
+    """Two pairs on stations 5 km from each other and from the depot: a ride
+    at 15 km/h takes 20 minutes and a drive at 25 km/h 12.  Pickup 1 opens
+    and closes at 20, so the route 1 2 3 4 leaves the depot at 0 and is back
+    at exactly 88: three rides, two drives and four minutes of handling."""
+    params = Parameters(duty_time=duty_time, ev_speed=25.0, bike_speed=15.0,
+                        park_time=1.0, load_time=1.0, worker_count=1, worker_cost=0.0)
+    windows = ((RequestKind.PICKUP, 20.0, 20.0), (RequestKind.DELIVERY, 0.0, 500.0),
+               (RequestKind.PICKUP, 0.0, 500.0), (RequestKind.DELIVERY, 0.0, 500.0))
+    requests = tuple(
+        Request(id=i, kind=kind, location=i, tw_min=lo, tw_max=hi,
+                battery=1.0 if kind is RequestKind.PICKUP else 0.0, revenue=20.0)
+        for i, (kind, lo, hi) in enumerate(windows, start=1))
+    distances = tuple(tuple(0.0 if i == j else 5.0 for j in range(5)) for i in range(5))
+    return Instance(parameters=params, requests=requests, distances=distances)
+
+
+@pytest.mark.parametrize("over, fits", [(0.5e-6, True), (2e-6, False)])
+def test_every_judge_of_the_duty_line_agrees_at_its_tolerance(over, fits):
+    # The two-pair route lasts duty_time + over: within EPS it fits.
+    inst = _duty_line_instance(88.0 - over)
+    p1, d1, p2, d2 = inst.requests
+    route, failures = schedule_route(inst, 0.0, (p1, d1, p2, d2))
+    assert route.duration == 88.0
+    assert (failures == []) is fits
+    assert validate_route(route, inst).ok is fits
+    # Inserting the second pair after the first, or the first in front of
+    # the second, lands the route there.
+    assert _simulate_insertion(replay_route(inst, 0.0, (p1, d1)), 1, (p2, d2), inst)[0] is fits
+    assert _simulate_insertion(replay_route(inst, 34.0, (p2, d2)), 0, (p1, d1), inst)[0] is fits
+    served = solve_exact(inst, objective="requests").served
+    assert served == ({1, 2, 3, 4} if fits else {1, 2})
 
 
 def test_validate_route_flags_battery_range_and_target():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
+from evrelo import model
 from evrelo.errors import InstanceTooLarge, InvariantViolation, ParseError
 from evrelo.exact import OracleLimits
 from evrelo.feasibility import validate_solution
@@ -423,6 +424,19 @@ def test_load_reports_the_constructor_message(tmp_path, section, name, value):
     with pytest.raises(InvariantViolation) as loaded:
         load_instance(path)
     assert loaded.value.violations == [str(built.value)]
+
+
+def test_load_runs_the_request_rules_twice_per_request(tmp_path, monkeypatch):
+    # Once on the file's record, once when its Request is built; the
+    # Instance does not check a Request again.
+    inst = synthetic_instance(random.Random(5))
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    rules = model.request_violations
+    checked = []
+    monkeypatch.setattr(model, "request_violations", lambda r: checked.append(r.id) or rules(r))
+    assert load_instance(path) == inst
+    assert sorted(checked) == sorted(2 * [r.id for r in inst.requests])
 
 
 # ---------------------------------------------------------------------------
