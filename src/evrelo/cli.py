@@ -131,8 +131,7 @@ def solve(instance_path, algorithm, objective, iterations, seed, max_requests, o
 @click.option("--solution", "solution_path", default=None,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Also check this solution file against the instance.")
-@_FORMAT
-def validate(instance_path, solution_path, fmt):
+def validate(instance_path, solution_path):
     """Check an instance file (and optionally a solution) for violations."""
     instance = load_instance(instance_path)
     click.echo(f"instance {instance_path.name}: {len(instance.requests)} requests, OK")

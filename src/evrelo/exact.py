@@ -90,12 +90,11 @@ class _Label:
     the sequence shares them.  ``floor`` and ``ceiling`` are the end states
     there (a ceiling state whose windows fail is handed down unchanged, as
     only that failure matters to the descendants), and ``states`` holds the
-    end state at each bisection midpoint asked about.  ``start`` and ``dep``
-    are the chosen depot departure and the departure from the last delivery
-    there.
+    end state at each bisection midpoint asked about.  ``start`` is the
+    chosen depot departure.
     """
 
-    __slots__ = ("lo", "hi", "floor", "ceiling", "states", "start", "dep")
+    __slots__ = ("lo", "hi", "floor", "ceiling", "states", "start")
 
     def __init__(self, lo, hi, floor, ceiling):
         self.lo, self.hi = lo, hi
@@ -155,7 +154,7 @@ def _child_label(parent, seq, pickup, delivery, instance):
         start = lo
     _, range_ok, dep, _ = end
     if range_ok and dep - start <= instance.parameters.duty_time + EPS:
-        child.start, child.dep = start, dep
+        child.start = start
         return child
     return None
 

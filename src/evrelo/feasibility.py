@@ -117,11 +117,12 @@ def route_end(instance, start_time, dep, last):
     return end_time, end_time - start_time <= par.duty_time + EPS
 
 
-def schedule_route(instance, start_time, ordered_requests, worker=0):
+def schedule_route(instance, start_time, ordered_requests):
     """The stored route for a visit order, with the conditions it fails.
 
     Returns (route, failures): the route holds exactly the values the
-    validator will recompute, and ``failures`` lists ``propagate``'s failed
+    validator will recompute (and worker 0: ``assemble_solution`` numbers
+    the workers), and ``failures`` lists ``propagate``'s failed
     conditions followed by ("duty", None) when the route outlasts the duty
     time.  Raises WrongKind if the order does not alternate pickup,
     delivery, ..., delivery.
@@ -136,18 +137,18 @@ def schedule_route(instance, start_time, ordered_requests, worker=0):
     if not fits:
         failures.append(("duty", None))
     visits = tuple(ScheduledVisit(r.id, *stop) for r, stop in zip(reqs, stops))
-    route = RouteSchedule(worker=worker, start_time=start_time, visits=visits, end_time=end_time)
+    route = RouteSchedule(worker=0, start_time=start_time, visits=visits, end_time=end_time)
     return route, failures
 
 
-def replay_route(instance, start_time, ordered_requests, worker=0):
+def replay_route(instance, start_time, ordered_requests):
     """Build the canonical schedule for a visit order.
 
     Raises WrongKind if the order does not alternate pickup, delivery, ...,
     delivery.  The returned route stores exactly the values the validator
     will recompute.
     """
-    return schedule_route(instance, start_time, ordered_requests, worker)[0]
+    return schedule_route(instance, start_time, ordered_requests)[0]
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,6 @@ class ValidationResult:
     @property
     def ok(self):
         return not self.violations
-
-    @property
-    def first(self):
-        return self.violations[0] if self.violations else None
 
     def describe(self):
         if self.ok:
@@ -245,7 +242,7 @@ def validate_route(route, instance):
         return ValidationResult(tuple(problems))
 
     par = instance.parameters
-    replayed, failures = schedule_route(instance, route.start_time, reqs, worker=route.worker)
+    replayed, failures = schedule_route(instance, route.start_time, reqs)
     windows = {visit: code for code, visit in failures if code.endswith("_window")}
 
     for idx, (req, stored, fresh) in enumerate(zip(reqs, route.visits, replayed.visits)):
@@ -277,7 +274,7 @@ def validate_route(route, instance):
         if code == "battery_range":
             uncovered.add(visit)
             charge = replayed.visits[visit - 1].ev_charge
-            spent = instance.distance(reqs[visit - 1].location, reqs[visit].location) / par.full_range
+            spent = instance.distances[reqs[visit - 1].location][reqs[visit].location] / par.full_range
             problems.append(
                 Violation(code, f"charge {charge:.4f} cannot cover {spent:.4f}", visit=visit)
             )

@@ -20,6 +20,10 @@ from .errors import DegenerateConfig
 from .model import Instance, Parameters, Request, RequestKind, RevenueModel
 
 
+# Road distance over straight-line distance.
+_DETOUR_FACTOR = 1.3
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs of the fleet simulation."""
@@ -32,8 +36,6 @@ class GeneratorConfig:
     seed: int = 0
     revenue_model: RevenueModel | None = None
     area_km: float = 10.0
-    detour_factor: float = 1.3
-    parameters: Parameters | None = None
 
     def __post_init__(self):
         if self.stations < 1:
@@ -49,10 +51,8 @@ class GeneratorConfig:
             raise DegenerateConfig("simulation horizon must be positive and finite")
         if not (math.isfinite(self.demand_rate) and self.demand_rate >= 0):
             raise DegenerateConfig("demand rate must be non-negative and finite")
-        if not (math.isfinite(self.area_km) and self.area_km > 0
-                and math.isfinite(self.detour_factor) and self.detour_factor >= 1.0):
-            raise DegenerateConfig(
-                "service area must be positive with detour factor >= 1, both finite")
+        if not (math.isfinite(self.area_km) and self.area_km > 0):
+            raise DegenerateConfig("service area must be positive and finite")
 
 
 class _Ev:
@@ -77,8 +77,8 @@ def _station_coords(rng, config):
     ]
 
 
-def _road_km(a, b, detour):
-    return math.dist(a, b) * detour
+def _road_km(a, b):
+    return math.dist(a, b) * _DETOUR_FACTOR
 
 
 def generate(config):
@@ -98,14 +98,14 @@ def generate(config):
     per simulation, not once per trip.
     """
     rng = np.random.default_rng(config.seed)
-    params = config.parameters or Parameters()
+    params = Parameters()
     revenue_model = config.revenue_model or RevenueModel()
     coords = _station_coords(rng, config)
     gamma = params.recharge_time
     full_range = params.full_range
 
     station_km = [
-        [_road_km(coords[i], coords[j], config.detour_factor) for j in range(config.stations)]
+        [_road_km(coords[i], coords[j]) for j in range(config.stations)]
         for i in range(config.stations)
     ]
 
@@ -178,7 +178,7 @@ def generate(config):
     depot = (config.area_km / 2.0, config.area_km / 2.0)
     # math.dist is symmetric, so one depot distance per station serves both
     # the depot's row and its column.
-    depot_km = [_road_km(depot, c, config.detour_factor) for c in coords]
+    depot_km = [_road_km(depot, c) for c in coords]
     at = [s[2] for s in stubs]
     rows = [(depot_km[s],) + tuple(station_km[s][t] for t in at) for s in range(config.stations)]
     distances = ((0.0,) + tuple(depot_km[s] for s in at),) + tuple(rows[s] for s in at)

@@ -12,7 +12,7 @@ import enum
 from typing import NamedTuple, Optional
 
 from .errors import WrongKind
-from .feasibility import propagate, replay_route, route_start
+from .feasibility import propagate, replay_route, route_end, route_start
 from .model import EPS, Request, RequestKind, assemble_solution, paying_routes
 
 
@@ -58,15 +58,16 @@ def pickup_feasible(position, pickup, candidate_deliveries, instance):
         raise WrongKind(f"request {pickup.id} is not a pickup")
     if position.held is not None:
         raise WrongKind("cannot ride to a pickup while holding an EV")
-    arrival = position.departure + instance.bike_minutes(position.location, pickup.location)
+    par = instance.parameters
+    dist = instance.distances
+    arrival = position.departure + dist[position.location][pickup.location] * 60.0 / par.bike_speed
     if not arrival <= pickup.tw_max + EPS:
         return False
     if not candidate_deliveries:
         return False
-    par = instance.parameters
     best_tail = min(
-        instance.ev_minutes(pickup.location, d.location)
-        + instance.bike_minutes(d.location, 0)
+        dist[pickup.location][d.location] * 60.0 / par.ev_speed
+        + dist[d.location][0] * 60.0 / par.bike_speed
         for d in candidate_deliveries
     )
     service_start = max(arrival, pickup.tw_min)
@@ -95,9 +96,8 @@ def delivery_feasible(position, delivery, instance):
     )
     if failures:
         return False
-    par = instance.parameters
-    home = max(stops[1][0], delivery.tw_min) + par.park_time + instance.bike_minutes(delivery.location, 0)
-    return home - position.start_time <= par.duty_time + EPS
+    dep = max(stops[1][0], delivery.tw_min) + instance.parameters.park_time
+    return route_end(instance, position.start_time, dep, delivery)[1]
 
 
 def select_next(position, candidates, policy, instance, delivery_pool=()):
@@ -125,7 +125,7 @@ def select_next(position, candidates, policy, instance, delivery_pool=()):
         elif position is None or position.held is None or not delivery_feasible(position, request, instance):
             continue
         if policy is GreedyPolicy.NEAREST:
-            key = (instance.distance(origin, request.location), request.id)
+            key = (instance.distances[origin][request.location], request.id)
         else:
             key = (request.tw_max, request.id)
         if best_key is None or key < best_key:
@@ -180,7 +180,7 @@ def run_greedy(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
             del unserved[chosen.id]
         if not order:
             break
-        routes.append(replay_route(instance, position.start_time, order, worker=len(routes)))
+        routes.append(replay_route(instance, position.start_time, order))
     if drop_unprofitable:
         routes = paying_routes(routes, instance)
     return assemble_solution(routes, instance)

@@ -2,10 +2,10 @@
 
 This module houses the structured heuristics: urgency scoring of requests,
 screening of pickup/delivery pairs, the zero-waiting timing of the first pair
-of a route, the exact time-extension arithmetic for inserting a pair into an
-existing route, and the one best-of-walks driver built on top: a
-deterministic urgency-first construction (one walk) and its randomized
-best-of-many variant (one uniform draw per walk).
+of a route, the exact time-extension arithmetic for inserting a pair into a
+route, the empty one included, and the one best-of-walks driver built on
+top: a deterministic urgency-first construction (one walk) and its
+randomized best-of-many variant (one uniform draw per walk).
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GapOutOfRange, UnknownRequest
-from .feasibility import propagate, replay_route, route_end, route_start, schedule_route
+from .feasibility import propagate, replay_route, route_end, route_start
 from .model import (
     EPS,
     RequestKind,
+    RouteSchedule,
     assemble_solution,
     check_objective,
     objective_value,
@@ -202,18 +203,15 @@ def init_first_pair(pickup, delivery, instance):
     )
 
 
-def _first_pair(pickup, delivery, instance, worker=0):
-    """(route, feasible): the stored one-pair route for ``init_first_pair``
-    timing and whether it meets every condition, judged in the one replay
-    that builds it."""
-    start = _first_pair_times(pickup, delivery, instance)[3]
-    route, failures = schedule_route(instance, start, (pickup, delivery), worker)
-    return route, not failures
+# The route of no pairs, depot to depot: a route opens by inserting its
+# first pair into it, at gap 0.
+_EMPTY_ROUTE = RouteSchedule(worker=0, start_time=0.0, visits=(), end_time=0.0)
 
 
-def materialize_first_pair(pickup, delivery, instance, worker=0):
-    """Build the stored one-pair route for ``init_first_pair`` timing."""
-    return _first_pair(pickup, delivery, instance, worker)[0]
+def materialize_first_pair(pickup, delivery, instance):
+    """The stored one-pair route for ``init_first_pair`` timing: the pair
+    inserted into the empty route."""
+    return apply_insertion(_EMPTY_ROUTE, 0, (pickup, delivery), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,8 @@ def _simulate_insertion(route, gap, pair, instance):
     Gaps are numbered 0..n for a route of n pairs: gap 0 squeezes the pair in
     front of the current first pickup (the depot departure is re-derived for
     it), gap n appends after the last delivery, anything else goes between
-    two existing pairs.
+    two existing pairs.  On ``_EMPTY_ROUTE`` the one gap is 0, so a route
+    opens with ``init_first_pair``'s timing of its first pair.
 
     Returns (feasible, duration_change).  The schedule is
     propagated from the departure at the gap over the new pair and every
@@ -302,7 +301,7 @@ def apply_insertion(route, gap, pair, instance):
     order = [instance.request(v.request_id) for v in visits]
     order[2 * gap:2 * gap] = pair
     start = _new_start(route, gap, pair, instance)
-    return replay_route(instance, start, order, worker=route.worker)
+    return replay_route(instance, start, order)
 
 
 def best_insertion(route, pair, instance):
@@ -381,9 +380,9 @@ class _Graph:
     so ``step`` evaluates a step once and then follows ``after``.
     ``root`` is the first state, where a request with no partner retained
     is given up.  ``outcomes`` maps each attempt evaluated, (open route
-    key, pickup id, delivery id), to the gap ``best_insertion`` chose, None
-    if no gap admits the pair, or, for a pair opening a route, whether it
-    is feasible.
+    key, pickup id, delivery id), to the route that places the pair, or
+    None if no gap admits it; a route opens by insertion into
+    ``_EMPTY_ROUTE``, so an opening is an attempt like any other.
 
     ``open`` counts the untried candidates of the states held and ``ends``
     the finished states made.  A state weighs two, one per route and four
@@ -422,29 +421,20 @@ class _Graph:
 
     def _place(self, state, rid):
         """Couple ``rid`` with its nearest unserved partner and place the
-        pair: opening the next worker's route, or at the cheapest gap."""
+        pair at the cheapest gap of the open route, or of ``_EMPTY_ROUTE``
+        to open the next one."""
         unserved = state.unserved
         partner = next(p for p in self.partners[rid] if p.id in unserved)
         pair = pickup, delivery = _orient(unserved[rid], partner)
         closed, route_key = state.key
         attempt = (route_key, pickup.id, delivery.id)
-        outcomes = self.outcomes
-        known = attempt in outcomes
-        outcome = outcomes.get(attempt)
-        placed = None
-        if state.current is None:
-            if not known or outcome:  # a first pair known to fit is built for this worker
-                route, outcome = _first_pair(pickup, delivery, self.instance, worker=len(state.routes))
-                if outcome:
-                    placed = route
-        else:
-            if not known:
-                candidate = best_insertion(state.current, pair, self.instance)
-                outcome = None if candidate is None else candidate.gap
-            if outcome is not None:
-                placed = apply_insertion(state.current, outcome, pair, self.instance)
-        if not known and len(outcomes) < _GRAPH_CAP:
-            outcomes[attempt] = outcome
+        placed = self.outcomes.get(attempt, _BLOCKED)
+        if placed is _BLOCKED:  # not evaluated yet
+            route = state.current or _EMPTY_ROUTE
+            candidate = best_insertion(route, pair, self.instance)
+            placed = None if candidate is None else apply_insertion(route, candidate.gap, pair, self.instance)
+            if len(self.outcomes) < _GRAPH_CAP:
+                self.outcomes[attempt] = placed
         if placed is None:
             return _BLOCKED
         # A request whose last unserved partner is placed can never be

@@ -244,16 +244,6 @@ class Instance:
             )
         return self.distances[origin][destination]
 
-    # -- travel times -----------------------------------------------------
-
-    def bike_minutes(self, origin, destination):
-        """Riding time between two matrix locations, minutes."""
-        return self.distance(origin, destination) * 60.0 / self.parameters.bike_speed
-
-    def ev_minutes(self, origin, destination):
-        """Driving time between two matrix locations, minutes."""
-        return self.distance(origin, destination) * 60.0 / self.parameters.ev_speed
-
 
 @dataclass(frozen=True)
 class ScheduledVisit:

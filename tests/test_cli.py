@@ -216,6 +216,13 @@ def test_validate_flags_tampered_solution(instance_file, tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def test_validate_has_no_format_option(instance_file, capsys):
+    assert main(["validate", str(instance_file), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_validate_flags_broken_instance_document(tmp_path, capsys):
     path = tmp_path / "corrupt.json"
     path.write_text("{not json", encoding="utf-8")

@@ -13,7 +13,7 @@ from conftest import single_pair_reference, synthetic_instance
 from evrelo import exact
 from evrelo.errors import InstanceTooLarge
 from evrelo.exact import OracleLimits, optimality_gap, solve_exact
-from evrelo.feasibility import propagate, replay_route, validate_route, validate_solution
+from evrelo.feasibility import propagate, replay_route, route_start, validate_route, validate_solution
 from evrelo.generator import make_benchmark
 from evrelo.model import (
     EPS,
@@ -229,9 +229,8 @@ def test_gap_rejects_unknown_objective():
 
 def _grid_route(instance, order, extra_starts):
     first = order[0]
-    ride = instance.bike_minutes(0, first.location)
-    lo = first.tw_min - ride
-    hi = first.tw_max - ride
+    lo = route_start(instance, first, first.tw_min)
+    hi = route_start(instance, first, first.tw_max)
     starts = {lo, hi}
     starts.update(s for s in extra_starts if lo - 1e-9 <= s <= hi + 1e-9)
     step = lo
@@ -306,11 +305,10 @@ def _scan_from_depot(seq, start, instance):
 def _latest_window_start(seq, instance):
     """Ceiling if it passes, None if the floor fails, else 60 halvings."""
     first = seq[0]
-    ride = instance.bike_minutes(0, first.location)
-    hi = first.tw_max - ride
+    hi = route_start(instance, first, first.tw_max)
     if _scan_from_depot(seq, hi, instance)[0]:
         return hi
-    lo = first.tw_min - ride
+    lo = route_start(instance, first, first.tw_min)
     if not _scan_from_depot(seq, lo, instance)[0]:
         return None
     for _ in range(60):
@@ -328,19 +326,19 @@ def _viable_schedule(seq, instance):
         return None
     _, range_ok, dep = _scan_from_depot(seq, start, instance)
     if range_ok and dep - start <= instance.parameters.duty_time + EPS:
-        return start, dep
+        return start
     return None
 
 
 def _judged_children(instance):
-    """(sequence, (start, dep) or None) for every child the enumeration
-    judges, in the order it judges them."""
+    """(sequence, start or None) for every child the enumeration judges,
+    in the order it judges them."""
     judged = []
     judge = exact._child_label
 
     def spy(parent, seq, pickup, delivery, inst):
         child = judge(parent, seq, pickup, delivery, inst)
-        verdict = None if child is None else (child.start, child.dep)
+        verdict = None if child is None else child.start
         judged.append(((*seq, pickup, delivery), verdict))
         return child
 
@@ -358,7 +356,7 @@ def _assert_verdicts_match_the_scan(instance):
         assert verdict == _viable_schedule(seq, instance), [r.id for r in seq]
         if verdict is None:
             dead += 1
-        elif verdict[0] == seq[0].tw_max - instance.bike_minutes(0, seq[0].location):
+        elif verdict == route_start(instance, seq[0], seq[0].tw_max):
             at_ceiling += 1
         else:
             below += 1

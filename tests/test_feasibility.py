@@ -483,7 +483,7 @@ def test_validation_result_describe():
     result = validate_route(late, inst)
     text = result.describe()
     assert "pickup_window" in text
-    assert result.first is not None
+    assert not result.ok
     assert validate_route(_valid_route(inst), inst).describe() == "OK"
 
 

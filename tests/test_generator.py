@@ -101,11 +101,10 @@ def test_config_validation():
         dict(horizon=0.0),
         dict(demand_rate=-0.1),
         dict(area_km=0.0),
-        dict(detour_factor=0.9),
     ]
     # A NaN fails every comparison and an infinity passes a lower bound, so
     # each must be refused by name rather than leak from numpy or ``int()``.
-    for name in ("horizon", "demand_rate", "area_km", "detour_factor"):
+    for name in ("horizon", "demand_rate", "area_km"):
         for value in (math.nan, math.inf, -math.inf):
             bad.append({name: value})
     for kwargs in bad:

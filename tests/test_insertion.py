@@ -12,13 +12,13 @@ from hypothesis import given, strategies as st
 from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs
 from evrelo import insertion
 from evrelo.errors import GapOutOfRange, UnknownRequest
-from evrelo.feasibility import validate_route, validate_solution
+from evrelo.feasibility import schedule_route, validate_route, validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
+    _EMPTY_ROUTE,
     RhConfig,
     _Graph,
     _construct,
-    _first_pair,
     _simulate_insertion,
     _orient,
     _urgency_order,
@@ -300,8 +300,8 @@ def _coincident_instance(park, load, second_open):
         _delivery(6, 1, (0.0, big)),
     ]
     inst = _line(requests, coords=[1.0], park_time=park, load_time=load)
-    from evrelo.feasibility import replay_route
-    route = replay_route(inst, 10.0 - inst.bike_minutes(0, 1),
+    from evrelo.feasibility import replay_route, route_start
+    route = replay_route(inst, route_start(inst, inst.request(1), 10.0),
                          tuple(inst.request(i) for i in (1, 2, 3, 4)))
     return inst, route, (inst.request(5), inst.request(6))
 
@@ -538,7 +538,7 @@ def _construct_full_scan(instance, retained, partners, choose, worker_limit):
         pickup, delivery = _orient(request, partner)
         placed = None
         if current is None:
-            attempt = materialize_first_pair(pickup, delivery, instance, worker=len(routes))
+            attempt = materialize_first_pair(pickup, delivery, instance)
             if validate_route(attempt, instance).ok:
                 placed = attempt
         else:
@@ -592,7 +592,7 @@ def test_construct_matches_the_full_partner_scan():
                         instance, retained, partners, make_picker(graph), limit)
 
 
-def test_first_pair_is_judged_in_the_replay_that_builds_it():
+def test_a_route_opens_by_insertion_into_the_empty_route():
     # Every compatible pair opens a feasible route on these instances, so
     # the incompatible pairs are tried as well, for infeasible verdicts.
     vamat = make_benchmark("vamat_like", 30, seed=0)
@@ -600,10 +600,12 @@ def test_first_pair_is_judged_in_the_replay_that_builds_it():
     for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
         for pickup in instance.pickups:
             for delivery in instance.deliveries:
-                route, feasible = _first_pair(pickup, delivery, instance, worker=2)
-                reference = materialize_first_pair(pickup, delivery, instance, worker=2)
-                assert route == reference
-                assert feasible == validate_route(reference, instance).ok
+                pair = (pickup, delivery)
+                feasible = best_insertion(_EMPTY_ROUTE, pair, instance) is not None
+                route = apply_insertion(_EMPTY_ROUTE, 0, pair, instance)
+                start = init_first_pair(pickup, delivery, instance).start_time
+                assert route == schedule_route(instance, start, pair)[0]
+                assert feasible == validate_route(route, instance).ok
                 verdicts.add(feasible)
     assert verdicts == {True, False}
 
@@ -794,22 +796,20 @@ def test_construct_shares_one_attempt_record_across_pickers():
 
 @pytest.mark.parametrize("cap", [None, 5])
 def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
-    # Evaluations are logged by attempt key.  The record holds the first
-    # ``cap`` keys evaluated; none of those is evaluated twice, except a
-    # first pair known to fit, built again for the worker that opens it.
+    # Evaluations are logged by attempt key, an opening (an insertion into
+    # the empty route) under no open route.  The record holds the first
+    # ``cap`` keys evaluated, and none of those is evaluated twice.
     if cap is not None:
         monkeypatch.setattr(insertion, "_GRAPH_CAP", cap)
     cap = insertion._GRAPH_CAP
     records, evaluated = [], []
-    construct, best, first = insertion._construct, insertion.best_insertion, insertion._first_pair
+    construct, best = insertion._construct, insertion.best_insertion
     monkeypatch.setattr(insertion, "_construct",
                         lambda *args: records.append(args[0]) or construct(*args))
     monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance: evaluated.append(
-        ((route.start_time, route.request_ids), pair[0].id, pair[1].id))
+        (None if route is _EMPTY_ROUTE else (route.start_time, route.request_ids),
+         pair[0].id, pair[1].id))
         or best(route, pair, instance))
-    monkeypatch.setattr(insertion, "_first_pair", lambda pickup, delivery, instance, worker=0:
-                        evaluated.append((None, pickup.id, delivery.id))
-                        or first(pickup, delivery, instance, worker))
     for instance in RH_CONTRACT_FLEET:
         solves = []
         for objective in ("profit", "requests"):
@@ -821,7 +821,7 @@ def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
             outcomes = record.outcomes
             assert list(outcomes) == list(dict.fromkeys(evaluated))[:cap]
             counts = Counter(evaluated)
-            assert all(counts[key] == 1 or key[0] is None and outcomes[key] for key in outcomes)
+            assert all(counts[key] == 1 for key in outcomes)
             solves.append((record, list(evaluated)))
         # Each solve starts from a fresh record: both objectives make the
         # same draws, so the same evaluations.

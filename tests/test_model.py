@@ -9,6 +9,7 @@ import pytest
 
 from conftest import euclidean_matrix, synthetic_instance
 from evrelo.errors import IndexOutOfRange, InvalidInstance, UnknownRequest
+from evrelo.feasibility import route_start
 from evrelo.model import (
     EPS,
     Instance,
@@ -54,8 +55,9 @@ def two_station_instance(params=None, revenue=10.0):
 
 def test_travel_time_zero_distance_any_mode():
     inst = two_station_instance()
-    assert inst.bike_minutes(1, 1) == 0.0
-    assert inst.ev_minutes(1, 1) == 0.0
+    par = inst.parameters
+    assert inst.distances[1][1] * 60.0 / par.bike_speed == 0.0
+    assert inst.distances[1][1] * 60.0 / par.ev_speed == 0.0
 
 
 def test_travel_time_bike_five_km_at_fifteen():
@@ -64,7 +66,10 @@ def test_travel_time_bike_five_km_at_fifteen():
         ((0.0, 5.0), (5.0, 0.0)),
         params=Parameters(bike_speed=15.0),
     )
-    assert inst.bike_minutes(0, 1) == pytest.approx(20.0, abs=1e-12)
+    pickup = Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0,
+                     tw_max=500.0, battery=1.0, revenue=10.0)
+    # The depot departure that reaches the pickup at minute 20.
+    assert route_start(inst, pickup, 20.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_travel_time_ev_five_km_at_twenty_five():
@@ -73,7 +78,7 @@ def test_travel_time_ev_five_km_at_twenty_five():
         ((0.0, 5.0), (5.0, 0.0)),
         params=Parameters(ev_speed=25.0),
     )
-    assert inst.ev_minutes(0, 1) == pytest.approx(12.0, abs=1e-12)
+    assert inst.distances[0][1] * 60.0 / inst.parameters.ev_speed == pytest.approx(12.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +244,6 @@ def test_instance_distance_checks_both_indices():
     for origin, destination in ((3, 0), (0, 3), (-1, 1), (1, -1)):
         with pytest.raises(IndexOutOfRange):
             inst.distance(origin, destination)
-    with pytest.raises(IndexOutOfRange):
-        inst.bike_minutes(0, 3)
-    with pytest.raises(IndexOutOfRange):
-        inst.ev_minutes(3, 0)
 
 
 def test_route_schedule_duration_and_revenue():
