@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-def propagate(instance, dep, loc, requests):
+def propagate(instance, dep, loc, requests, *, verdict_only=False):
     """Walk an alternating pickup, delivery, ... order forward from leaving
     matrix location ``loc`` at time ``dep``.
 
@@ -57,6 +57,11 @@ def propagate(instance, dep, loc, requests):
     level is unreachable by its window closing).  The two battery codes are
     judged independently.  Every comparison fails closed, so a NaN never
     passes.  The order is not checked here; ``schedule_route`` does.
+
+    With ``verdict_only`` the walk stops at the first failed condition:
+    ``failures`` then holds only that one, the full call's first, and the
+    stops and the departure may be partial.  It fails exactly when the
+    full call fails.
     """
     par = instance.parameters
     dist = instance.distances
@@ -73,6 +78,10 @@ def propagate(instance, dep, loc, requests):
         p_loc, d_loc = pickup.location, delivery.location
         opening, closing = pickup.tw_min, delivery.tw_max
         arrival = dep + dist[loc][p_loc] * 60.0 / bike
+        if not arrival <= pickup.tw_max + EPS:
+            failures.append(("pickup_window", visit))
+            if verdict_only:
+                break
         wait = opening - arrival
         if not wait > 0.0:
             wait = 0.0
@@ -80,8 +89,6 @@ def propagate(instance, dep, loc, requests):
         charge = pickup.battery + (start - opening) / recharge
         if charge > 1.0:
             charge = 1.0
-        if not arrival <= pickup.tw_max + EPS:
-            failures.append(("pickup_window", visit))
         leg = dist[p_loc][d_loc]
         d_arrival = start + load + leg * 60.0 / ev
         d_wait = delivery.tw_min - d_arrival - park
@@ -97,6 +104,9 @@ def propagate(instance, dep, loc, requests):
             failures.append(("battery_range", visit))
         if not left + (closing - d_arrival) / recharge >= delivery.battery - EPS:
             failures.append(("battery_target", visit))
+        if verdict_only and failures:
+            del failures[1:]
+            break
         dep = d_arrival + d_wait + park
         loc = d_loc
         visit += 1

@@ -19,6 +19,7 @@ from .model import (
     EPS,
     RequestKind,
     RouteSchedule,
+    ScheduledVisit,
     assemble_solution,
     check_objective,
     objective_value,
@@ -220,64 +221,72 @@ def materialize_first_pair(pickup, delivery, instance):
 
 @dataclass(frozen=True)
 class InsertionCandidate:
-    """A feasible way to place a pair into a route."""
+    """A feasible way to place a pair into a route, and the route it
+    places."""
 
     pickup_id: int
     delivery_id: int
     gap: int
     time_extension: float
+    route: RouteSchedule
 
 
-def _new_start(route, gap, pair, instance):
-    """The depot departure once ``pair`` is inserted at ``gap``: kept, except
-    at gap 0, where ``init_first_pair``'s timing of the new first pair sets
-    it."""
+def _opening(pair, instance):
+    """The depot departure of ``init_first_pair``'s timing of ``pair``: a
+    route's start once the pair is inserted at gap 0."""
+    return _first_pair_times(pair[0], pair[1], instance)[3]
+
+
+def _route_requests(route, instance):
+    """The requests of ``route``'s visits, in visit order."""
+    by_id = instance.requests_by_id
+    try:
+        return [by_id[v.request_id] for v in route.visits]
+    except KeyError as exc:
+        raise UnknownRequest(f"no request with id {exc.args[0]}") from None
+
+
+def _at_gap(route, gap, pair, requests, instance, opening):
+    """(start, dep, loc, order) of inserting ``pair`` at ``gap`` of
+    ``route``, whose visits are ``requests``: the route's depot departure
+    afterwards (``opening`` at gap 0, else kept), the departure from the
+    stop before the gap and its matrix location, and the pair followed by
+    the requests after the gap.
+
+    Gaps are numbered 0..n for a route of n pairs: gap 0 squeezes the pair in
+    front of the current first pickup, gap n appends after the last
+    delivery, anything else goes between two existing pairs.  The departure
+    is ``propagate``'s own expression on the stored visit.
+    """
+    if not 0 <= gap <= len(requests) // 2:
+        raise GapOutOfRange(f"gap {gap} outside 0..{len(requests) // 2}")
     if gap == 0:
-        return _first_pair_times(pair[0], pair[1], instance)[3]
-    return route.start_time
+        return opening, opening, 0, [*pair, *requests]
+    prev = route.visits[2 * gap - 1]
+    dep = prev.arrival + prev.waiting + instance.parameters.park_time
+    return route.start_time, dep, requests[2 * gap - 1].location, [*pair, *requests[2 * gap:]]
 
 
 def _simulate_insertion(route, gap, pair, instance):
     """Work out the consequences of inserting ``pair`` at ``gap`` without
     touching the stored route.
 
-    Gaps are numbered 0..n for a route of n pairs: gap 0 squeezes the pair in
-    front of the current first pickup (the depot departure is re-derived for
-    it), gap n appends after the last delivery, anything else goes between
-    two existing pairs.  On ``_EMPTY_ROUTE`` the one gap is 0, so a route
-    opens with ``init_first_pair``'s timing of its first pair.
-
-    Returns (feasible, duration_change).  The schedule is
-    propagated from the departure at the gap over the new pair and every
-    later visit (never re-ordered), with the replay's own arithmetic, and
-    the visits before the gap keep their stored values.  So ``feasible`` is
-    the validator's verdict on the applied insertion, duty time included,
-    and ``duration_change`` equals the applied route's change of duration
+    On ``_EMPTY_ROUTE`` the one gap is 0, so a route opens with
+    ``init_first_pair``'s timing of its first pair.  Returns (feasible,
+    duration_change).  The schedule is propagated from the departure at
+    the gap (``_at_gap``) over the new pair and every later visit (never
+    re-ordered), with the replay's own arithmetic, and the visits before
+    the gap keep their stored values.  So ``feasible`` is the validator's
+    verdict on the applied insertion, duty time included, and
+    ``duration_change`` equals the applied route's change of duration
     exactly.  It is signed: an inserted EV leg may shortcut what used to be
     a long ride, pulling later visits earlier.
     """
-    pickup, delivery = pair
-    visits = route.visits
-    n = len(visits) // 2
-    if not 0 <= gap <= n:
-        raise GapOutOfRange(f"gap {gap} outside 0..{n}")
-    par = instance.parameters
-    by_id = instance.requests_by_id
-    new_start = _new_start(route, gap, pair, instance)
-    order = [pickup, delivery]
-    try:
-        if gap == 0:
-            dep, loc = new_start, 0
-        else:
-            prev = visits[2 * gap - 1]
-            dep = prev.arrival + prev.waiting + par.park_time
-            loc = by_id[prev.request_id].location
-        order += [by_id[v.request_id] for v in visits[2 * gap:]]
-    except KeyError as exc:
-        raise UnknownRequest(f"no request with id {exc.args[0]}") from None
+    requests = _route_requests(route, instance)
+    start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, _opening(pair, instance))
     _, dep, failures = propagate(instance, dep, loc, order)
-    end, fits = route_end(instance, new_start, dep, order[-1])
-    return not failures and fits, (end - new_start) - route.duration
+    end, fits = route_end(instance, start, dep, order[-1])
+    return not failures and fits, (end - start) - route.duration
 
 
 def time_extension(route, gap, pair, instance):
@@ -294,26 +303,44 @@ def time_extension(route, gap, pair, instance):
 
 def apply_insertion(route, gap, pair, instance):
     """Return the route with ``pair`` spliced in at ``gap``, fully re-timed."""
-    visits = route.visits
-    n = len(visits) // 2
-    if not 0 <= gap <= n:
-        raise GapOutOfRange(f"gap {gap} outside 0..{n}")
-    order = [instance.request(v.request_id) for v in visits]
-    order[2 * gap:2 * gap] = pair
-    start = _new_start(route, gap, pair, instance)
-    return replay_route(instance, start, order)
+    requests = _route_requests(route, instance)
+    start, _, _, order = _at_gap(route, gap, pair, requests, instance, _opening(pair, instance))
+    return replay_route(instance, start, requests[:2 * gap] + order)
 
 
-def best_insertion(route, pair, instance):
+def best_insertion(route, pair, instance, opening=None):
     """Cheapest feasible gap for ``pair`` in ``route``: the one of smallest
-    time extension, ties resolved toward the earliest gap.  None when no gap
-    admits the pair."""
+    time extension, ties resolved toward the earliest gap, with the route
+    that places the pair there.  None when no gap admits the pair.
+
+    ``opening`` is ``_opening(pair, instance)``, computed when not given.
+    Each gap is judged as ``_simulate_insertion`` judges it, with a
+    verdict-only ``propagate``.  The placed route keeps the visits before
+    the winning gap and takes the rest from that gap's own stops: the
+    stored values are what a replay from the same start recomputes, so it
+    equals ``apply_insertion``'s route.
+    """
+    if opening is None:
+        opening = _opening(pair, instance)
+    requests = _route_requests(route, instance)
+    duration = route.duration
     best = None
-    for gap in range(len(route.visits) // 2 + 1):
-        feasible, change = _simulate_insertion(route, gap, pair, instance)
-        if feasible and (best is None or change < best.time_extension - EPS):
-            best = InsertionCandidate(pair[0].id, pair[1].id, gap, change)
-    return best
+    for gap in range(len(requests) // 2 + 1):
+        start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, opening)
+        stops, dep, failures = propagate(instance, dep, loc, order, verdict_only=True)
+        if failures:
+            continue
+        end, fits = route_end(instance, start, dep, order[-1])
+        change = (end - start) - duration
+        if fits and (best is None or change < best[1] - EPS):
+            best = gap, change, start, end, order, stops
+    if best is None:
+        return None
+    gap, change, start, end, order, stops = best
+    visits = route.visits[:2 * gap] + tuple(
+        ScheduledVisit(r.id, *stop) for r, stop in zip(order, stops))
+    placed = RouteSchedule(worker=0, start_time=start, visits=visits, end_time=end)
+    return InsertionCandidate(pair[0].id, pair[1].id, gap, change, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +409,11 @@ class _Graph:
     is given up.  ``outcomes`` maps each attempt evaluated, (open route
     key, pickup id, delivery id), to the route that places the pair, or
     None if no gap admits it; a route opens by insertion into
-    ``_EMPTY_ROUTE``, so an opening is an attempt like any other.
+    ``_EMPTY_ROUTE``, so an opening is an attempt like any other.  The
+    placed route is ``best_insertion``'s, built from the stops that judged
+    the winning gap, so a placement is propagated once.  ``openings`` maps
+    (pickup id, delivery id) to the pair's gap-0 depot departure, computed
+    at the pair's first attempt.
 
     ``open`` counts the untried candidates of the states held and ``ends``
     the finished states made.  A state weighs two, one per route and four
@@ -398,6 +429,7 @@ class _Graph:
         self.partners = partners
         self.states = {}
         self.outcomes = {}
+        self.openings = {}
         self.held = 0
         self.open = 0
         self.ends = 0
@@ -424,15 +456,20 @@ class _Graph:
         pair at the cheapest gap of the open route, or of ``_EMPTY_ROUTE``
         to open the next one."""
         unserved = state.unserved
-        partner = next(p for p in self.partners[rid] if p.id in unserved)
+        for partner in self.partners[rid]:
+            if partner.id in unserved:
+                break
         pair = pickup, delivery = _orient(unserved[rid], partner)
         closed, route_key = state.key
         attempt = (route_key, pickup.id, delivery.id)
         placed = self.outcomes.get(attempt, _BLOCKED)
         if placed is _BLOCKED:  # not evaluated yet
-            route = state.current or _EMPTY_ROUTE
-            candidate = best_insertion(route, pair, self.instance)
-            placed = None if candidate is None else apply_insertion(route, candidate.gap, pair, self.instance)
+            ids = attempt[1:]
+            opening = self.openings.get(ids)
+            if opening is None:
+                opening = self.openings[ids] = _opening(pair, self.instance)
+            candidate = best_insertion(state.current or _EMPTY_ROUTE, pair, self.instance, opening)
+            placed = None if candidate is None else candidate.route
             if len(self.outcomes) < _GRAPH_CAP:
                 self.outcomes[attempt] = placed
         if placed is None:

@@ -4,11 +4,12 @@ greedy construction screens, and the validator's violation reporting."""
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grow_route, single_pair_reference, synthetic_instance
+from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs
 from evrelo.errors import WrongKind
 from evrelo.exact import solve_exact
 from evrelo.feasibility import (
@@ -33,7 +34,6 @@ from evrelo.model import (
     Parameters,
     Request,
     RequestKind,
-    RevenueModel,
     RouteSchedule,
     ScheduledVisit,
     assemble_solution,
@@ -427,6 +427,15 @@ def test_validate_route_rejects_an_all_nan_schedule():
     assert "duty" in codes
 
 
+def test_verdict_only_propagate_fails_closed_on_nan():
+    inst = single_pair_reference()
+    pair = _reference_pair(inst)
+    assert propagate(inst, math.nan, 0, pair, verdict_only=True)[2] == [("pickup_window", 0)]
+    nan_charge = (SimpleNamespace(**{**vars(pair[0]), "battery": math.nan}), pair[1])
+    assert propagate(inst, 108.0, 0, nan_charge, verdict_only=True)[2] == [("battery_range", 1)]
+    assert propagate(inst, 108.0, 0, nan_charge)[2][0] == ("battery_range", 1)
+
+
 def test_validate_route_flags_alternation_and_duplicates():
     inst = single_pair_reference()
     route = _valid_route(inst)
@@ -490,6 +499,33 @@ def test_validation_result_describe():
 # ---------------------------------------------------------------------------
 # Properties: randomly built routes and solutions replay cleanly.
 # ---------------------------------------------------------------------------
+
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_verdict_only_propagate_stops_at_the_full_calls_first_failure(seed, data):
+    # A random order of random length, some of its windows and charges
+    # made NaN or infinite, walked from a random or non-finite departure:
+    # the verdict-only walk fails exactly when the full walk does, with
+    # the full walk's first failure, and its stops are the full walk's
+    # first ones.
+    rng = random.Random(seed)
+    instance = synthetic_instance(rng)
+    pairs = synthetic_pairs(instance)
+    rng.shuffle(pairs)
+    order = [SimpleNamespace(**vars(r)) for pair in pairs[:rng.randint(1, len(pairs))] for r in pair]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        field = data.draw(st.sampled_from(["tw_min", "tw_max", "battery"]))
+        setattr(data.draw(st.sampled_from(order)), field, data.draw(_ODD))
+    dep = data.draw(st.one_of(st.floats(min_value=0.0, max_value=300.0), _ODD))
+    stops, end, failures = propagate(instance, dep, 0, order)
+    partial, partial_end, first = propagate(instance, dep, 0, order, verdict_only=True)
+    assert first == failures[:1]
+    assert repr(partial) == repr(stops[:len(partial)])
+    if not failures:
+        assert repr((partial, partial_end)) == repr((stops, end))
+
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_randomly_grown_routes_validate(seed):

@@ -16,7 +16,7 @@ from evrelo.generator import (
     small_instances,
 )
 from evrelo.io import save_instance
-from evrelo.model import RequestKind, RevenueModel
+from evrelo.model import RequestKind
 
 
 def _counts(instance):

@@ -806,10 +806,10 @@ def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
     construct, best = insertion._construct, insertion.best_insertion
     monkeypatch.setattr(insertion, "_construct",
                         lambda *args: records.append(args[0]) or construct(*args))
-    monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance: evaluated.append(
+    monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance, opening: evaluated.append(
         (None if route is _EMPTY_ROUTE else (route.start_time, route.request_ids),
          pair[0].id, pair[1].id))
-        or best(route, pair, instance))
+        or best(route, pair, instance, opening))
     for instance in RH_CONTRACT_FLEET:
         solves = []
         for objective in ("profit", "requests"):
@@ -876,6 +876,51 @@ def test_simulation_is_apply_and_validate_at_every_gap(seed):
                 applied = apply_insertion(route, gap, pair, instance)
                 assert feasible == validate_route(applied, instance).ok
                 assert change == applied.duration - route.duration
+
+
+def _check_placement(route, pair, instance, candidate):
+    """``candidate`` is None exactly when no gap simulates feasible, and
+    otherwise places the route ``apply_insertion`` builds at its gap."""
+    gaps = range(len(route.visits) // 2 + 1)
+    feasible = any(_simulate_insertion(route, gap, pair, instance)[0] for gap in gaps)
+    assert (candidate is not None) == feasible
+    if candidate is not None:
+        assert candidate.route == apply_insertion(route, candidate.gap, pair, instance)
+        assert validate_route(candidate.route, instance).ok
+
+
+@given(st.integers(min_value=0, max_value=5_000))
+def test_best_insertion_places_the_replayed_route(seed):
+    # Every route grown along the way and the empty one, against every
+    # pair it does not serve.
+    rng = random.Random(seed)
+    instance = synthetic_instance(rng)
+    cases, final = grow_route(instance, rng)
+    routes = {route for route, _, _ in cases} | {final, _EMPTY_ROUTE} - {None}
+    for route in routes:
+        served = set(route.request_ids)
+        for pair in synthetic_pairs(instance):
+            if pair[0].id not in served:
+                _check_placement(route, pair, instance, best_insertion(route, pair, instance))
+
+
+def test_every_rh_placement_is_its_replay(monkeypatch):
+    # The attempts RH evaluates on the fleet, each checked as it is made,
+    # with the gap-0 departure the graph keeps.
+    vamat = make_benchmark("vamat_like", 30, seed=0)
+    best = insertion.best_insertion
+    placed = []
+
+    def checked(route, pair, instance, opening):
+        candidate = best(route, pair, instance, opening)
+        _check_placement(route, pair, instance, candidate)
+        placed.append(candidate is not None)
+        return candidate
+
+    monkeypatch.setattr(insertion, "best_insertion", checked)
+    for instance in (*RH_CONTRACT_FLEET, vamat[0], vamat[19]):
+        run_rh(instance, RhConfig(iterations=50, seed=0))
+    assert set(placed) == {True, False}
 
 
 @given(st.integers(min_value=0, max_value=5_000))

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
 from evrelo import model
-from evrelo.errors import InstanceTooLarge, InvariantViolation, ParseError
+from evrelo.errors import InvariantViolation, ParseError
 from evrelo.exact import OracleLimits
 from evrelo.feasibility import validate_solution
 from evrelo.generator import make_benchmark, small_instances
