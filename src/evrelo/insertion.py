@@ -41,7 +41,11 @@ def pair_necessary_feasible(pickup, delivery, instance):
     the actual schedule).  Failing one is meant to prove the pair useless,
     but the delivery-window screen adds ``park_time``, which the validator
     does not, so it drops some pairs whose one-pair route validates
-    (ROADMAP item 2).
+    (ROADMAP item 2).  The duty screen (the depot ride out to the pickup and
+    home from the delivery) is a necessary condition only when the distance
+    matrix satisfies the triangle inequality: only then is a route serving
+    the pair anywhere no shorter than the one-pair route.  Every generated
+    matrix does; ``load_instance`` accepts any.
     """
     par = instance.parameters
     dist = instance.distances
@@ -237,6 +241,18 @@ def _opening(pair, instance):
     return _first_pair_times(pair[0], pair[1], instance)[3]
 
 
+def _pair_head(pair, instance):
+    """(opening, stops, dep, ok) of ``pair`` at gap 0: the route's start
+    (``_opening``), the pair alone walked from it by a verdict-only
+    ``propagate``, the departure from its delivery and whether the walk
+    passed.  The walk carries only a departure and a location from stop to
+    stop, so gap 0 of any route is the head followed by the route's
+    requests walked from (``dep``, the delivery's location), bit for bit."""
+    opening = _opening(pair, instance)
+    stops, dep, failures = propagate(instance, opening, 0, pair, verdict_only=True)
+    return opening, stops, dep, not failures
+
+
 def _route_requests(route, instance):
     """The requests of ``route``'s visits, in visit order."""
     by_id = instance.requests_by_id
@@ -267,6 +283,17 @@ def _at_gap(route, gap, pair, requests, instance, opening):
     return route.start_time, dep, requests[2 * gap - 1].location, [*pair, *requests[2 * gap:]]
 
 
+def _judge(instance, start, dep, loc, order, last, duration, verdict_only=False):
+    """(stops, feasible, end, change) of a route that left the depot at
+    ``start`` and goes on from leaving ``loc`` at ``dep`` over ``order``,
+    ``last`` being its last stop: ``propagate``'s stops, the validator's
+    verdict (duty time included), the return to the depot and the change
+    of duration against ``duration``."""
+    stops, dep, failures = propagate(instance, dep, loc, order, verdict_only=verdict_only)
+    end, fits = route_end(instance, start, dep, last)
+    return stops, not failures and fits, end, (end - start) - duration
+
+
 def _simulate_insertion(route, gap, pair, instance):
     """Work out the consequences of inserting ``pair`` at ``gap`` without
     touching the stored route.
@@ -284,9 +311,8 @@ def _simulate_insertion(route, gap, pair, instance):
     """
     requests = _route_requests(route, instance)
     start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, _opening(pair, instance))
-    _, dep, failures = propagate(instance, dep, loc, order)
-    end, fits = route_end(instance, start, dep, order[-1])
-    return not failures and fits, (end - start) - route.duration
+    _, feasible, _, change = _judge(instance, start, dep, loc, order, order[-1], route.duration)
+    return feasible, change
 
 
 def time_extension(route, gap, pair, instance):
@@ -308,31 +334,75 @@ def apply_insertion(route, gap, pair, instance):
     return replay_route(instance, start, requests[:2 * gap] + order)
 
 
-def best_insertion(route, pair, instance, opening=None):
+def best_insertion(route, pair, instance, head=None):
     """Cheapest feasible gap for ``pair`` in ``route``: the one of smallest
     time extension, ties resolved toward the earliest gap, with the route
     that places the pair there.  None when no gap admits the pair.
 
-    ``opening`` is ``_opening(pair, instance)``, computed when not given.
-    Each gap is judged as ``_simulate_insertion`` judges it, with a
-    verdict-only ``propagate``.  The placed route keeps the visits before
-    the winning gap and takes the rest from that gap's own stops: the
-    stored values are what a replay from the same start recomputes, so it
-    equals ``apply_insertion``'s route.
+    ``head`` is ``_pair_head(pair, instance)``, computed when not given.
+    Two cuts decide, before anything is built, the gaps that cannot fit:
+    gap 0 fails with the head, or at the route's first pickup reached from
+    the head; and the scan stops at the first gap g >= 1 whose stored
+    departure already misses the pair's pickup window, or its delivery
+    window with the load time and the EV leg added (``propagate``'s
+    comparisons, in its association).  Every other gap is judged as
+    ``_simulate_insertion`` judges it, with a verdict-only ``propagate``.
+    The placed route keeps the visits before the winning gap and takes the
+    rest from that gap's own stops: the stored values are what a replay
+    from the same start recomputes, so it equals ``apply_insertion``'s
+    route.
+
+    Preconditions: ``route`` is a replay (its stored departures never
+    decrease along it) and distances are non-negative (a departure is then
+    no later than the arrival it leads to).  ``load_instance`` enforces the
+    second; an ``Instance`` built in process does not.  Outside them the
+    cuts can only miss a feasible gap, never accept an infeasible one.
     """
-    if opening is None:
-        opening = _opening(pair, instance)
+    if head is None:
+        head = _pair_head(pair, instance)
+    opening, head_stops, head_dep, head_ok = head
+    pickup, delivery = pair
+    par = instance.parameters
+    dist = instance.distances
+    visits = route.visits
+    n = len(visits) // 2
+    # Gap 0: the head, then propagate's first comparison at the route's
+    # first pickup.
+    first_fits = head_ok
+    if head_ok and visits:
+        first = instance.requests_by_id.get(visits[0].request_id)
+        if first is None:
+            first = instance.request(visits[0].request_id)  # raises UnknownRequest
+        arrival = head_dep + dist[delivery.location][first.location] * 60.0 / par.bike_speed
+        first_fits = arrival <= first.tw_max + EPS
+    # Gaps >= 1: the scan ends at ``cut``, the first one whose departure
+    # misses the pair's windows; every later departure is no earlier.
+    park, load = par.park_time, par.load_time
+    pickup_close, delivery_close = pickup.tw_max + EPS, delivery.tw_max + EPS
+    ev_leg = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
+    cut = 1
+    while cut <= n:
+        prev = visits[2 * cut - 1]
+        dep = prev.arrival + prev.waiting + park
+        if not (dep <= pickup_close and dep + load + ev_leg <= delivery_close):
+            break
+        cut += 1
+    if not first_fits and cut == 1:
+        return None
     requests = _route_requests(route, instance)
     duration = route.duration
     best = None
-    for gap in range(len(requests) // 2 + 1):
+    if first_fits:
+        stops, feasible, end, change = _judge(
+            instance, opening, head_dep, delivery.location, requests,
+            requests[-1] if requests else delivery, duration, verdict_only=True)
+        if feasible:
+            best = 0, change, opening, end, [*pair, *requests], [*head_stops, *stops]
+    for gap in range(1, cut):
         start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, opening)
-        stops, dep, failures = propagate(instance, dep, loc, order, verdict_only=True)
-        if failures:
-            continue
-        end, fits = route_end(instance, start, dep, order[-1])
-        change = (end - start) - duration
-        if fits and (best is None or change < best[1] - EPS):
+        stops, feasible, end, change = _judge(
+            instance, start, dep, loc, order, order[-1], duration, verdict_only=True)
+        if feasible and (best is None or change < best[1] - EPS):
             best = gap, change, start, end, order, stops
     if best is None:
         return None
@@ -412,8 +482,9 @@ class _Graph:
     ``_EMPTY_ROUTE``, so an opening is an attempt like any other.  The
     placed route is ``best_insertion``'s, built from the stops that judged
     the winning gap, so a placement is propagated once.  ``openings`` maps
-    (pickup id, delivery id) to the pair's gap-0 depot departure, computed
-    at the pair's first attempt.
+    (pickup id, delivery id) to the pair's head (``_pair_head``: its gap-0
+    depot departure and the pair walked from it), computed at the pair's
+    first attempt and passed to every ``best_insertion`` of the pair.
 
     ``open`` counts the untried candidates of the states held and ``ends``
     the finished states made.  A state weighs two, one per route and four
@@ -465,10 +536,10 @@ class _Graph:
         placed = self.outcomes.get(attempt, _BLOCKED)
         if placed is _BLOCKED:  # not evaluated yet
             ids = attempt[1:]
-            opening = self.openings.get(ids)
-            if opening is None:
-                opening = self.openings[ids] = _opening(pair, self.instance)
-            candidate = best_insertion(state.current or _EMPTY_ROUTE, pair, self.instance, opening)
+            head = self.openings.get(ids)
+            if head is None:
+                head = self.openings[ids] = _pair_head(pair, self.instance)
+            candidate = best_insertion(state.current or _EMPTY_ROUTE, pair, self.instance, head)
             placed = None if candidate is None else candidate.route
             if len(self.outcomes) < _GRAPH_CAP:
                 self.outcomes[attempt] = placed

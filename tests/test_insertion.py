@@ -2,6 +2,7 @@
 insertion simulation, and the two insertion-based construction drivers."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from evrelo.feasibility import schedule_route, validate_route, validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.insertion import (
     _EMPTY_ROUTE,
+    InsertionCandidate,
     RhConfig,
     _Graph,
     _construct,
@@ -35,6 +37,7 @@ from evrelo.insertion import (
     time_extension,
 )
 from evrelo.model import (
+    EPS,
     Instance,
     Parameters,
     Request,
@@ -387,6 +390,61 @@ def test_best_insertion_none_when_no_gap_fits():
     snug = dataclasses.replace(inst, parameters=dataclasses.replace(
         inst.parameters, duty_time=route.duration))
     assert best_insertion(route, pair, snug) is None
+
+
+def _pair_attempt(first, pickup, delivery, far=None):
+    """Every request on one station a 4-minute ride from the depot, except
+    request ``far`` (5 or 6, if given), on a second one 4 minutes further
+    and a 2.5-minute EV leg away; one minute to load and one to park.  The
+    route serves (1, 2) then (3, 4): it reaches pickup 1 at 0 and leaves its
+    two pairs at 2 and 4.  The pair (5, 6) is the one to insert; the
+    windows of 1, 5 and 6 are given."""
+    big = 10_000.0
+    requests = [
+        _pickup(1, 1, first), _delivery(2, 2, (0.0, big)),
+        _pickup(3, 3, (0.0, big)), _delivery(4, 4, (0.0, big)),
+        _pickup(5, 5, pickup), _delivery(6, 6, delivery),
+    ]
+    inst = _line(requests, coords=[2.0 if r.id == far else 1.0 for r in requests],
+                 park_time=1.0, load_time=1.0)
+    route, failures = schedule_route(inst, -4.0, [inst.request(i) for i in (1, 2, 3, 4)])
+    assert failures == [] and [v.arrival for v in route.visits] == [0.0, 1.0, 2.0, 3.0]
+    return inst, route, (inst.request(5), inst.request(6))
+
+
+def test_a_blocked_attempt_walks_nothing(monkeypatch):
+    # Gap 0 fails at the route's first pickup (reached at 2 from the pair's
+    # head, closing at 1) and gap 1 already departs after the pair's pickup
+    # closes, so the two cuts decide the attempt.
+    inst, route, pair = _pair_attempt((0.0, 1.0), (0.0, 1.5), (0.0, 10_000.0))
+    head = insertion._pair_head(pair, inst)
+    assert head[3] and head[2] == 2.0
+    assert not any(_simulate_insertion(route, gap, pair, inst)[0] for gap in (0, 1, 2))
+    walks = []
+    propagate = insertion.propagate
+    monkeypatch.setattr(insertion, "propagate", lambda *args, **kwargs: walks.append(args) or propagate(*args, **kwargs))
+    assert best_insertion(route, pair, inst, head) is None
+    assert walks == []
+    # Without the head, its one walk is the only one.
+    assert best_insertion(route, pair, inst) is None
+    assert len(walks) == 1 and walks[0][1:3] == (head[0], 0)
+
+
+@pytest.mark.parametrize("gap, windows, far", [
+    # From the head the route's first pickup is reached at 4.5, half a
+    # tolerance past its closing; the pickup 5 a ride away would not be.
+    (0, ((0.0, 4.5 - EPS / 2), (0.0, 0.5), (0.0, 10_000.0)), 5),
+    # Gap 1 departs at 2 and, with the load and the EV leg, hands over at
+    # 5.5: both half a tolerance past the pair's closings.
+    (1, ((0.0, 0.5), (0.0, 2.0 - EPS / 2), (0.0, 5.5 - EPS / 2)), 6),
+])
+def test_a_gap_on_a_cuts_boundary_is_walked(gap, windows, far):
+    # The one feasible gap sits on the comparison its cut makes, which
+    # passes only with propagate's ``<=``, EPS and operands.
+    inst, route, pair = _pair_attempt(*windows, far=far)
+    assert [_simulate_insertion(route, g, pair, inst)[0] for g in (0, 1, 2)] == [g == gap for g in (0, 1, 2)]
+    best = best_insertion(route, pair, inst)
+    assert best.gap == gap and best == _gap_scan(route, pair, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -949,3 +1007,75 @@ def test_best_insertion_agrees_with_gap_scan(seed):
             earliest = min(g for te, g in feasible
                            if te <= expected_te + 1e-6)
             assert best.gap == earliest
+
+
+def _tight(instance, rng):
+    """``instance`` with about half of its windows narrowed to at most 30
+    minutes."""
+    return dataclasses.replace(instance, requests=tuple(
+        dataclasses.replace(r, tw_max=r.tw_min + rng.uniform(0.0, 30.0)) if rng.random() < 0.5 else r
+        for r in instance.requests))
+
+
+def _gap_scan(route, pair, instance):
+    """``best_insertion`` by a scan over every gap: ``_simulate_insertion``'s
+    verdicts and duration changes, the cheapest gap (ties toward the
+    earliest) placed by ``apply_insertion``."""
+    best = None
+    for gap in range(len(route.visits) // 2 + 1):
+        feasible, change = _simulate_insertion(route, gap, pair, instance)
+        if feasible and (best is None or change < best[1] - EPS):
+            best = gap, change
+    if best is None:
+        return None
+    gap, change = best
+    return InsertionCandidate(pair[0].id, pair[1].id, gap, change,
+                              apply_insertion(route, gap, pair, instance))
+
+
+_ODD_WINDOW = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def test_best_insertion_skips_only_gaps_that_fail(monkeypatch):
+    # Tight windows, so that both cuts fire: gap 0 failing at the route's
+    # first pickup, and the scan stopping at a departure past the pair's
+    # windows.  Some inserted pairs carry a NaN or infinite window.  With
+    # the head passed and computed, ``best_insertion`` equals the scan
+    # over every gap, field for field, and every gap it does not walk is
+    # one ``_simulate_insertion`` rejects.
+    walked = []
+    judge = insertion._judge
+    monkeypatch.setattr(insertion, "_judge", lambda instance, start, dep, loc, order, *rest, **kwargs: (
+        walked.append(order) or judge(instance, start, dep, loc, order, *rest, **kwargs)))
+    fired = Counter()
+
+    @given(st.integers(min_value=0, max_value=5_000), st.data())
+    def check(seed, data):
+        rng = random.Random(seed)
+        instance = _tight(synthetic_instance(rng, n_pairs=rng.randint(4, 8)), rng)
+        cases, final = grow_route(instance, rng)
+        routes = {route for route, _, _ in cases} | {final, _EMPTY_ROUTE} - {None}
+        for route in sorted(routes, key=lambda r: r.request_ids):
+            served = set(route.request_ids)
+            n = len(route.visits) // 2
+            for pair in synthetic_pairs(instance):
+                if pair[0].id in served:
+                    continue
+                if data.draw(st.booleans()):
+                    odd = SimpleNamespace(**vars(pair[data.draw(st.integers(0, 1))]))
+                    setattr(odd, data.draw(st.sampled_from(["tw_min", "tw_max"])), data.draw(_ODD_WINDOW))
+                    pair = tuple(odd if r.id == odd.id else r for r in pair)
+                expected = _gap_scan(route, pair, instance)
+                walked.clear()
+                assert best_insertion(route, pair, instance) == expected
+                # A walk's order starts with the pair at gaps >= 1 and
+                # with the route's requests at gap 0 (after the head).
+                gaps = {n - (len(order) - 2) // 2 if order and order[0] is pair[0] else 0 for order in walked}
+                skipped = set(range(n + 1)) - gaps
+                assert not any(_simulate_insertion(route, gap, pair, instance)[0] for gap in skipped)
+                fired["gap 0"] += n > 0 and 0 in skipped
+                fired["later"] += bool(skipped - {0})
+                assert best_insertion(route, pair, instance, insertion._pair_head(pair, instance)) == expected
+
+    check()
+    assert fired["gap 0"] and fired["later"]
