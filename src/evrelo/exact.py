@@ -17,15 +17,19 @@ schedule recurrence composes over a prefix, so each search node carries its
 sequence's end states at the departures it is judged at (the floor and the
 ceiling its first pickup fixes, plus any bisection midpoints asked about),
 and a child is judged by walking its one new pair on from those states.
+Work whose verdict is already known is skipped: a pickup that is late when
+reached from a node's floor state is not judged with any delivery, and a
+state whose windows already fail is handed down to the child unwalked.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InstanceTooLarge
 from .feasibility import propagate, replay_route, route_start, validate_route
+from .insertion import run_ch
 from .model import (
     EPS,
     assemble_solution,
@@ -43,8 +47,9 @@ class OracleLimits:
 
     ``nodes`` counts search tree nodes visited (sequence prefixes plus
     packing steps) and is updated in place by ``solve_exact``.  When the
-    time budget runs out the search stops cleanly and the best solution
-    found so far is returned with its optimality flag cleared.
+    time budget runs out the search stops cleanly and the better of the
+    best solution found so far and ``run_ch``'s is returned with its
+    optimality flag cleared.
     ``time_budget`` is in seconds, None for no budget.
     """
 
@@ -88,10 +93,10 @@ class _Label:
     ``lo`` and ``hi`` are the floor and the ceiling, the departures that put
     the first pickup at its window opening and closing; every extension of
     the sequence shares them.  ``floor`` and ``ceiling`` are the end states
-    there (a ceiling state whose windows fail is handed down unchanged, as
-    only that failure matters to the descendants), and ``states`` holds the
-    end state at each bisection midpoint asked about.  ``start`` is the
-    chosen depot departure.
+    there, and ``states`` holds the end state at each bisection midpoint
+    asked about.  A ceiling or midpoint state whose windows fail is handed
+    down unchanged, as only that failure matters to the descendants: its
+    other fields are never read.  ``start`` is the chosen depot departure.
     """
 
     __slots__ = ("lo", "hi", "floor", "ceiling", "states", "start")
@@ -119,10 +124,12 @@ def _child_label(parent, seq, pickup, delivery, instance):
     dead; one passing them at the ceiling starts there; otherwise the start
     is bisected between the two.  Each end state is the parent's state at
     the same departure walked on by the one pair, the parent's midpoint
-    states being memoised so that siblings share them.  A child whose own
-    driving-range or duty conditions (duty measured without the ride home,
-    which an extension replaces) already fail at its start condemns its
-    whole subtree, since appending pairs only adds conditions and time.
+    states being memoised so that siblings share them; a parent state whose
+    windows fail is the child's state unwalked (``_advance`` never sets a
+    flag back to True).  A child whose own driving-range or duty conditions
+    (duty measured without the ride home, which an extension replaces)
+    already fail at its start condemns its whole subtree, since appending
+    pairs only adds conditions and time.
     """
     pair = (pickup, delivery)
     floor = _advance(parent.floor, pair, instance)
@@ -146,7 +153,9 @@ def _child_label(parent, seq, pickup, delivery, instance):
                     state = parent.states[mid] = _advance((True, True, mid, 0), seq, instance)
             else:
                 state = (True, True, mid, 0)  # leaving the depot
-            state = child.states[mid] = _advance(state, pair, instance)
+            if state[0]:
+                state = _advance(state, pair, instance)
+            child.states[mid] = state  # a failed state is handed down unchanged
             if state[0]:
                 lo, end = mid, state
             else:
@@ -164,14 +173,19 @@ def _feasible_route_masks(instance, limits, deadline):
 
     Depth-first over pair sequences in id order, each node carrying its
     sequence's label so that a child is judged by walking one pair on from
-    its parent's end states.  A served set's representative is its first
-    sequence whose route, replayed from the label's start, passes the
-    validator (which adds the ride home and judges the duty time); later
-    sequences are not materialized.  Returns (masks, complete) where
-    complete is False when the time budget cut the enumeration short.
+    its parent's end states.  A pickup that is late when reached from the
+    node's floor state is skipped with all its deliveries: that is the first
+    test ``_child_label`` makes, so each of those children would be None.
+    A served set's representative is its first sequence whose route,
+    replayed from the label's start, passes the validator (which adds the
+    ride home and judges the duty time); later sequences are not
+    materialized.  Returns (masks, complete) where complete is False when
+    the time budget cut the enumeration short.
     """
     pickups = sorted(instance.pickups, key=lambda r: r.id)
     deliveries = sorted(instance.deliveries, key=lambda r: r.id)
+    dist = instance.distances
+    bike = instance.parameters.bike_speed
     masks = {}
     complete = True
 
@@ -191,6 +205,9 @@ def _feasible_route_masks(instance, limits, deadline):
             if p.id in used:
                 continue
             parent = label if seq else _depot_label(p, instance)
+            _, _, dep, loc = parent.floor
+            if not dep + dist[loc][p.location] * 60.0 / bike <= p.tw_max + EPS:
+                continue  # late at the floor: _child_label's first test fails
             for d in deliveries:
                 if d.id in used:
                     continue
@@ -215,7 +232,9 @@ def solve_exact(instance, objective="profit", limits=None):
     sorted tuple of served ids; the result is deterministic.  The returned
     solution carries optimal=True unless the time budget interrupted the
     search, in which case the best solution found so far is flagged
-    non-optimal.
+    non-optimal.  Under a budget, and only then, ``run_ch``'s solution is
+    the incumbent: a search cut short returns it when it beats the best
+    packing found.
     """
     check_objective(objective)
     limits = limits if limits is not None else OracleLimits()
@@ -224,9 +243,10 @@ def solve_exact(instance, objective="profit", limits=None):
         raise InstanceTooLarge(
             f"{n} requests exceed the exact-search cap of {limits.max_requests}"
         )
-    deadline = None
+    deadline = incumbent = None
     if limits.time_budget is not None:
         deadline = time.monotonic() + limits.time_budget
+        incumbent = run_ch(instance, objective=objective)
     mask_map, complete = _feasible_route_masks(instance, limits, deadline)
 
     # What each request adds to the objective, and what each route costs.
@@ -291,9 +311,14 @@ def solve_exact(instance, objective="profit", limits=None):
     pack(0, frozenset(), 0.0, [])
 
     if not best["picks"]:
-        return empty_solution(instance, optimal=complete)
-    routes = [candidates[j][3] for j in best["picks"]]
-    return assemble_solution(routes, instance, optimal=complete)
+        solution = empty_solution(instance, optimal=complete)
+    else:
+        routes = [candidates[j][3] for j in best["picks"]]
+        solution = assemble_solution(routes, instance, optimal=complete)
+    if not complete and (objective_value(incumbent, objective)
+                         > objective_value(solution, objective) + _TIE_TOL):
+        return replace(incumbent, optimal=False)
+    return solution
 
 
 def optimality_gap(heuristic, oracle, objective="profit"):

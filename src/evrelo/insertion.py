@@ -45,7 +45,9 @@ def pair_necessary_feasible(pickup, delivery, instance):
     home from the delivery) is a necessary condition only when the distance
     matrix satisfies the triangle inequality: only then is a route serving
     the pair anywhere no shorter than the one-pair route.  Every generated
-    matrix does; ``load_instance`` accepts any.
+    matrix does, and ``load_instance`` rejects a break larger than EPS, so
+    a loaded instance is metric within EPS; an ``Instance`` built in
+    process is not checked.
     """
     par = instance.parameters
     dist = instance.distances

@@ -5,6 +5,7 @@ and shared by every test that needs them)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import time
@@ -102,6 +103,14 @@ def synthetic_instance(rng, n_pairs=None, params=None):
         distances=euclidean_matrix(points),
         revenue_model=RevenueModel(kind="flat", amount=20.0),
     )
+
+
+def tight_windows(instance, rng):
+    """``instance`` with about half of its windows narrowed to at most 30
+    minutes."""
+    return dataclasses.replace(instance, requests=tuple(
+        dataclasses.replace(r, tw_max=r.tw_min + rng.uniform(0.0, 30.0)) if rng.random() < 0.5 else r
+        for r in instance.requests))
 
 
 def synthetic_pairs(instance):

@@ -9,12 +9,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import single_pair_reference, synthetic_instance
+from conftest import single_pair_reference, synthetic_instance, tight_windows
 from evrelo import exact
 from evrelo.errors import InstanceTooLarge
 from evrelo.exact import OracleLimits, optimality_gap, solve_exact
 from evrelo.feasibility import propagate, replay_route, route_start, validate_route, validate_solution
 from evrelo.generator import make_benchmark
+from evrelo.insertion import run_ch
 from evrelo.model import (
     EPS,
     Instance,
@@ -22,6 +23,7 @@ from evrelo.model import (
     Request,
     RequestKind,
     Solution,
+    objective_value,
 )
 
 
@@ -141,6 +143,23 @@ def test_exact_time_budget_clears_optimality_flag():
     assert relaxed.optimal is True
 
 
+def test_a_search_cut_short_returns_no_less_than_ch(monkeypatch):
+    # #22 (22 requests) is far from enumerated in the budget; without CH as
+    # the incumbent the search returned profit 0 against CH's 100.
+    instance = make_benchmark("amat_like", 30, seed=0)[22]
+    for objective in ("profit", "requests"):
+        ch = run_ch(instance, objective=objective)
+        assert objective_value(ch, objective) > 0
+        rushed = solve_exact(instance, objective=objective,
+                             limits=OracleLimits(max_requests=30, time_budget=0.05))
+        assert rushed.optimal is False
+        assert objective_value(rushed, objective) >= objective_value(ch, objective)
+        assert validate_solution(rushed, instance).ok
+    # Without a budget CH is not run.
+    monkeypatch.setattr(exact, "run_ch", None)
+    assert solve_exact(_coincident(pairs=2), objective="requests").optimal is True
+
+
 def test_oracle_limits_refuse_a_nan_or_negative_budget():
     # A NaN budget would mean no budget: no deadline comparison holds.
     for budget in (float("nan"), -1.0, float("-inf")):
@@ -171,12 +190,15 @@ def _masks_digest(masks):
 
 
 # make_benchmark("amat_like", 30, seed=0) index -> (enumeration nodes, served
-# sets, digest of the representative routes), recorded when every child was
-# still judged by replaying it from the depot.  #2 starts a route in the
-# bisection branch; #16 has 22 requests.
+# sets, digest of the representative routes).  #2 and #16 were recorded when
+# every child was still judged by replaying it from the depot, #20 when every
+# (pickup, delivery) of a node was still judged.  #2 starts a route in the
+# bisection branch; #16 has 22 requests; #20, with 16, is the costliest
+# enumeration of the compare_amat workload.
 AMAT_ENUMERATION = {
     2: (38, 37, "796d4349e771c4449770b5a6fd8d857470913593500c6efcc0c22aec34549934"),
     16: (2293, 1103, "f6d7cc1e47e1eea4ec023fe959e33c398a9959a48bb9105ba229f43597962d65"),
+    20: (114, 113, "2a09eeae787481f10bdf271730778cb9c90868380a89332954b5cd3910081e17"),
 }
 
 
@@ -376,3 +398,141 @@ def test_incremental_verdicts_equal_the_scan_on_amat_like():
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=3))
 def test_incremental_verdicts_equal_the_scan_on_synthetic_instances(seed, n_pairs):
     _assert_verdicts_match_the_scan(synthetic_instance(random.Random(seed), n_pairs=n_pairs))
+
+
+# ---------------------------------------------------------------------------
+# Skipped work: a pickup late at a node's floor state is not judged with any
+# delivery, and a midpoint state the parent fails is handed down unwalked.
+# ---------------------------------------------------------------------------
+
+def _spy_on_advance(patch):
+    """Patch ``_advance`` to record every state it is asked to walk on."""
+    advanced, advance = [], exact._advance
+    patch.setattr(exact, "_advance", lambda state, *rest: advanced.append(state) or advance(state, *rest))
+    return advanced
+
+
+def _enumerate_with_spies(instance):
+    """Run the enumeration and return (nodes, judged, advanced): every node
+    as (label, sequence), the root's label being None; every judged
+    (sequence ids, pickup id, delivery id); and every state ``_advance`` was
+    asked to walk on."""
+    nodes, judged = [(None, ())], set()
+    judge = exact._child_label
+
+    def spy(parent, seq, pickup, delivery, inst):
+        child = judge(parent, seq, pickup, delivery, inst)
+        judged.add((tuple(r.id for r in seq), pickup.id, delivery.id))
+        if child is not None:
+            nodes.append((child, (*seq, pickup, delivery)))
+        return child
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_child_label", spy)
+        advanced = _spy_on_advance(patch)
+        exact._feasible_route_masks(instance, OracleLimits(max_requests=16), None)
+    return nodes, judged, advanced
+
+
+def _assert_unjudged_children_die(instance):
+    """At every node, each unused (pickup, delivery) the loop does not judge
+    gets None from ``_child_label`` called from the node's label.  Returns
+    how many there were."""
+    nodes, judged, _ = _enumerate_with_spies(instance)
+    skipped = 0
+    for label, seq in nodes:
+        ids = tuple(r.id for r in seq)
+        for p in instance.pickups:
+            for d in instance.deliveries:
+                if p.id in ids or d.id in ids or (ids, p.id, d.id) in judged:
+                    continue
+                parent = label if seq else exact._depot_label(p, instance)
+                assert exact._child_label(parent, list(seq), p, d, instance) is None, (ids, p.id, d.id)
+                skipped += 1
+    return skipped
+
+
+def _small_amat_like():
+    return [inst for inst in make_benchmark("amat_like", 30, seed=0) if len(inst.requests) <= 16]
+
+
+def test_a_skipped_child_is_dead_on_amat_like():
+    assert sum(_assert_unjudged_children_die(inst) for inst in _small_amat_like()) > 0
+
+
+def test_a_skipped_child_is_dead_on_tight_synthetic_instances():
+    skipped = []
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))
+    def check(seed, n_pairs):
+        rng = random.Random(seed)
+        skipped.append(_assert_unjudged_children_die(tight_windows(synthetic_instance(rng, n_pairs=n_pairs), rng)))
+
+    check()
+    assert sum(skipped) > 0
+
+
+def _late_second_pickup(close, first_close=0.0):
+    """Stations on a line 1, 2, 3 and 4 km from the depot hold pickup 1,
+    delivery 2, pickup 3 and delivery 4; a 4-minute ride or a 2-minute
+    drive per km.  Pickup 1 opens at 0, so the route (1, 2) leaves delivery
+    2 at 4 at the floor and reaches pickup 3 at 8.  Pickup 1 closes at
+    ``first_close``, pickup 3 at ``close``."""
+    big = 10_000.0
+    requests = (
+        Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0, tw_max=first_close, battery=1.0,
+                revenue=20.0),
+        Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=0.0, tw_max=big, battery=0.0, revenue=20.0),
+        Request(id=3, kind=RequestKind.PICKUP, location=3, tw_min=0.0, tw_max=close, battery=1.0, revenue=20.0),
+        Request(id=4, kind=RequestKind.DELIVERY, location=4, tw_min=0.0, tw_max=big, battery=0.0, revenue=20.0),
+    )
+    distances = tuple(tuple(float(abs(i - j)) for j in range(5)) for i in range(5))
+    return Instance(parameters=Parameters(bike_speed=15.0, ev_speed=30.0),
+                    requests=requests, distances=distances)
+
+
+@pytest.mark.parametrize("close, judged", [
+    (8.0 - EPS / 2, True),   # reached half a tolerance inside tw_max + EPS
+    (8.0 - EPS, True),       # reached exactly at tw_max + EPS
+    (8.0 - 1.5 * EPS, False),  # reached half a tolerance past it
+])
+def test_a_pickup_on_the_floor_tests_boundary(close, judged):
+    # The floor test is propagate's own comparison: ``<=``, EPS and a bike
+    # ride from the node's last stop.
+    instance = _late_second_pickup(close)
+    assert judged == (8.0 <= close + EPS)
+    nodes, calls, _ = _enumerate_with_spies(instance)
+    assert (((1, 2), 3, 4) in calls) == judged
+    assert ((1, 2, 3, 4) in {tuple(r.id for r in seq) for _, seq in nodes}) == judged
+    _assert_unjudged_children_die(instance)
+
+
+def test_a_node_whose_pickups_are_all_late_judges_nothing():
+    # Past the root every unused pickup is late at the node's floor: only
+    # the root's four (pickup, delivery) are judged.
+    _, calls, _ = _enumerate_with_spies(_late_second_pickup(8.0 - 1.5 * EPS))
+    assert sorted(calls) == [((), 1, 2), ((), 1, 4), ((), 3, 2), ((), 3, 4)]
+
+
+def test_a_midpoint_the_parent_fails_is_not_walked():
+    # _advance never sets a flag back to True, so the enumeration never
+    # asks it to walk a failed state.
+    for instance in _small_amat_like():
+        assert all(state[0] for state in _enumerate_with_spies(instance)[2])
+    # The parent (1, 2) leaves the depot between -4 and 96 and is given a
+    # failed state at the first midpoint, 46.  Its child (3, 4) fails its
+    # ceiling (pickup 3 closes at 30), so it is bisected: at 46 it keeps
+    # the parent's state, walking nothing, and it starts where it would
+    # without that state.
+    instance = _late_second_pickup(30.0, first_close=100.0)
+    p1, d2, p3, d4 = instance.requests
+    parent = exact._child_label(exact._depot_label(p1, instance), [], p1, d2, instance)
+    assert (parent.lo, parent.hi, parent.start) == (-4.0, 96.0, 96.0)
+    expected = exact._child_label(parent, [p1, d2], p3, d4, instance).start
+    parent.states = {46.0: (False, True, 0.0, 0)}
+    with pytest.MonkeyPatch.context() as patch:
+        advanced = _spy_on_advance(patch)
+        child = exact._child_label(parent, [p1, d2], p3, d4, instance)
+    assert child.states[46.0] is parent.states[46.0]
+    assert all(state[0] for state in advanced)
+    assert child.start == expected < 46.0

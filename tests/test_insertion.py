@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs
+from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs, tight_windows
 from evrelo import insertion
 from evrelo.errors import GapOutOfRange, UnknownRequest
 from evrelo.feasibility import schedule_route, validate_route, validate_solution
@@ -1009,14 +1009,6 @@ def test_best_insertion_agrees_with_gap_scan(seed):
             assert best.gap == earliest
 
 
-def _tight(instance, rng):
-    """``instance`` with about half of its windows narrowed to at most 30
-    minutes."""
-    return dataclasses.replace(instance, requests=tuple(
-        dataclasses.replace(r, tw_max=r.tw_min + rng.uniform(0.0, 30.0)) if rng.random() < 0.5 else r
-        for r in instance.requests))
-
-
 def _gap_scan(route, pair, instance):
     """``best_insertion`` by a scan over every gap: ``_simulate_insertion``'s
     verdicts and duration changes, the cheapest gap (ties toward the
@@ -1052,7 +1044,7 @@ def test_best_insertion_skips_only_gaps_that_fail(monkeypatch):
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     def check(seed, data):
         rng = random.Random(seed)
-        instance = _tight(synthetic_instance(rng, n_pairs=rng.randint(4, 8)), rng)
+        instance = tight_windows(synthetic_instance(rng, n_pairs=rng.randint(4, 8)), rng)
         cases, final = grow_route(instance, rng)
         routes = {route for route, _, _ in cases} | {final, _EMPTY_ROUTE} - {None}
         for route in sorted(routes, key=lambda r: r.request_ids):
