@@ -17,7 +17,7 @@ import click
 from .errors import EvreloError
 from .exact import OracleLimits
 from .feasibility import validate_solution
-from .generator import make_benchmark
+from .generator import make_benchmark, reprice_frc
 from .io import load_instance, load_solution, save_instance, save_solution
 from .model import OBJECTIVES
 from .reporting import (
@@ -219,6 +219,13 @@ def sensitivity(bench_dir, sweep, frc_values, algorithm, objective, iterations, 
             raise click.UsageError(f"bad --frc-values: {exc}")
         if not values:
             raise click.UsageError("--frc-values must name at least one value")
+        # Refuse before any solve what reprice_frc would refuse mid-sweep.
+        for label, instance in instances:
+            for value in values:
+                try:
+                    reprice_frc(instance, value)
+                except ValueError as exc:
+                    raise click.UsageError(f"{label}: {exc}")
         rows = frc_sweep(
             instances, values, algorithm=algorithm, seed=seed,
             iterations=iterations, limits=limits, objective=objective,

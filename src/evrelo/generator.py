@@ -324,7 +324,7 @@ def small_instances(count, seed=0, revenue_model=None):
 
 
 def reprice_frc(instance, frc):
-    """Shift every request's fixed revenue component to ``frc``.
+    """Shift every request's fixed revenue component to ``frc`` (finite, >= 0).
 
     Only meaningful for variable-revenue instances: each revenue keeps its
     time-based component and swaps the old fixed component for the new one.
@@ -332,8 +332,8 @@ def reprice_frc(instance, frc):
     model = instance.revenue_model
     if model is None or model.kind != "vrc_frc":
         raise ValueError("repricing requires a variable-revenue instance")
-    if frc < 0:
-        raise ValueError("fixed revenue component must be non-negative")
+    if not 0 <= frc < math.inf:
+        raise ValueError(f"fixed revenue component must be finite and non-negative, got {frc!r}")
     delta = frc - model.frc
     requests = tuple(replace(r, revenue=r.revenue + delta) for r in instance.requests)
     return Instance(

@@ -237,20 +237,14 @@ class InsertionCandidate:
     route: RouteSchedule
 
 
-def _opening(pair, instance):
-    """The depot departure of ``init_first_pair``'s timing of ``pair``: a
-    route's start once the pair is inserted at gap 0."""
-    return _first_pair_times(pair[0], pair[1], instance)[3]
-
-
 def _pair_head(pair, instance):
     """(opening, stops, dep, ok) of ``pair`` at gap 0: the route's start
-    (``_opening``), the pair alone walked from it by a verdict-only
+    (``init_first_pair``'s), the pair alone walked from it by a verdict-only
     ``propagate``, the departure from its delivery and whether the walk
     passed.  The walk carries only a departure and a location from stop to
     stop, so gap 0 of any route is the head followed by the route's
     requests walked from (``dep``, the delivery's location), bit for bit."""
-    opening = _opening(pair, instance)
+    opening = _first_pair_times(pair[0], pair[1], instance)[3]
     stops, dep, failures = propagate(instance, opening, 0, pair, verdict_only=True)
     return opening, stops, dep, not failures
 
@@ -264,12 +258,12 @@ def _route_requests(route, instance):
         raise UnknownRequest(f"no request with id {exc.args[0]}") from None
 
 
-def _at_gap(route, gap, pair, requests, instance, opening):
+def _at_gap(route, gap, pair, requests, instance):
     """(start, dep, loc, order) of inserting ``pair`` at ``gap`` of
     ``route``, whose visits are ``requests``: the route's depot departure
-    afterwards (``opening`` at gap 0, else kept), the departure from the
-    stop before the gap and its matrix location, and the pair followed by
-    the requests after the gap.
+    afterwards (at gap 0 the pair's ``init_first_pair`` depot departure,
+    else kept), the departure from the stop before the gap and its matrix
+    location, and the pair followed by the requests after the gap.
 
     Gaps are numbered 0..n for a route of n pairs: gap 0 squeezes the pair in
     front of the current first pickup, gap n appends after the last
@@ -279,6 +273,7 @@ def _at_gap(route, gap, pair, requests, instance, opening):
     if not 0 <= gap <= len(requests) // 2:
         raise GapOutOfRange(f"gap {gap} outside 0..{len(requests) // 2}")
     if gap == 0:
+        opening = _first_pair_times(pair[0], pair[1], instance)[3]
         return opening, opening, 0, [*pair, *requests]
     prev = route.visits[2 * gap - 1]
     dep = prev.arrival + prev.waiting + instance.parameters.park_time
@@ -312,7 +307,7 @@ def _simulate_insertion(route, gap, pair, instance):
     a long ride, pulling later visits earlier.
     """
     requests = _route_requests(route, instance)
-    start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, _opening(pair, instance))
+    start, dep, loc, order = _at_gap(route, gap, pair, requests, instance)
     _, feasible, _, change = _judge(instance, start, dep, loc, order, order[-1], route.duration)
     return feasible, change
 
@@ -332,7 +327,7 @@ def time_extension(route, gap, pair, instance):
 def apply_insertion(route, gap, pair, instance):
     """Return the route with ``pair`` spliced in at ``gap``, fully re-timed."""
     requests = _route_requests(route, instance)
-    start, _, _, order = _at_gap(route, gap, pair, requests, instance, _opening(pair, instance))
+    start, _, _, order = _at_gap(route, gap, pair, requests, instance)
     return replay_route(instance, start, requests[:2 * gap] + order)
 
 
@@ -342,17 +337,16 @@ def best_insertion(route, pair, instance, head=None):
     that places the pair there.  None when no gap admits the pair.
 
     ``head`` is ``_pair_head(pair, instance)``, computed when not given.
-    Two cuts decide, before anything is built, the gaps that cannot fit:
-    gap 0 fails with the head, or at the route's first pickup reached from
-    the head; and the scan stops at the first gap g >= 1 whose stored
-    departure already misses the pair's pickup window, or its delivery
-    window with the load time and the EV leg added (``propagate``'s
-    comparisons, in its association).  Every other gap is judged as
-    ``_simulate_insertion`` judges it, with a verdict-only ``propagate``.
-    The placed route keeps the visits before the winning gap and takes the
-    rest from that gap's own stops: the stored values are what a replay
-    from the same start recomputes, so it equals ``apply_insertion``'s
-    route.
+    Two cuts leave unwalked the gaps that cannot fit: gap 0 fails with the
+    head, or at the route's first pickup reached from the head; and the
+    one scan of gaps g >= 1 stops at the first whose stored departure
+    already misses the pair's pickup window, or its delivery window with
+    the load time and the EV leg added (``propagate``'s comparisons, in its
+    association).  Every other gap is judged as ``_simulate_insertion``
+    judges it, with a verdict-only ``propagate``.  The placed route keeps
+    the visits before the winning gap and takes the rest from that gap's
+    own stops: the stored values are what a replay from the same start
+    recomputes, so it equals ``apply_insertion``'s route.
 
     Preconditions: ``route`` is a replay (its stored departures never
     decrease along it) and distances are non-negative (a departure is then
@@ -367,49 +361,45 @@ def best_insertion(route, pair, instance, head=None):
     par = instance.parameters
     dist = instance.distances
     visits = route.visits
-    n = len(visits) // 2
+    duration = route.duration
+    requests = best = None
     # Gap 0: the head, then propagate's first comparison at the route's
     # first pickup.
-    first_fits = head_ok
     if head_ok and visits:
         first = instance.requests_by_id.get(visits[0].request_id)
         if first is None:
             first = instance.request(visits[0].request_id)  # raises UnknownRequest
         arrival = head_dep + dist[delivery.location][first.location] * 60.0 / par.bike_speed
-        first_fits = arrival <= first.tw_max + EPS
-    # Gaps >= 1: the scan ends at ``cut``, the first one whose departure
-    # misses the pair's windows; every later departure is no earlier.
-    park, load = par.park_time, par.load_time
-    pickup_close, delivery_close = pickup.tw_max + EPS, delivery.tw_max + EPS
-    ev_leg = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
-    cut = 1
-    while cut <= n:
-        prev = visits[2 * cut - 1]
-        dep = prev.arrival + prev.waiting + park
-        if not (dep <= pickup_close and dep + load + ev_leg <= delivery_close):
-            break
-        cut += 1
-    if not first_fits and cut == 1:
-        return None
-    requests = _route_requests(route, instance)
-    duration = route.duration
-    best = None
-    if first_fits:
+        head_ok = arrival <= first.tw_max + EPS
+    if head_ok:
+        requests = _route_requests(route, instance)
         stops, feasible, end, change = _judge(
             instance, opening, head_dep, delivery.location, requests,
             requests[-1] if requests else delivery, duration, verdict_only=True)
         if feasible:
             best = 0, change, opening, end, [*pair, *requests], [*head_stops, *stops]
-    for gap in range(1, cut):
-        start, dep, loc, order = _at_gap(route, gap, pair, requests, instance, opening)
+    # Gaps >= 1 end at the first departure that misses the pair's windows:
+    # every later departure is no earlier.
+    park, load = par.park_time, par.load_time
+    pickup_close, delivery_close = pickup.tw_max + EPS, delivery.tw_max + EPS
+    ev_leg = dist[pickup.location][delivery.location] * 60.0 / par.ev_speed
+    for gap in range(1, len(visits) // 2 + 1):
+        prev = visits[2 * gap - 1]
+        dep = prev.arrival + prev.waiting + park
+        if not (dep <= pickup_close and dep + load + ev_leg <= delivery_close):
+            break
+        if requests is None:
+            requests = _route_requests(route, instance)
+        order = [*pair, *requests[2 * gap:]]
         stops, feasible, end, change = _judge(
-            instance, start, dep, loc, order, order[-1], duration, verdict_only=True)
+            instance, route.start_time, dep, requests[2 * gap - 1].location, order, order[-1],
+            duration, verdict_only=True)
         if feasible and (best is None or change < best[1] - EPS):
-            best = gap, change, start, end, order, stops
+            best = gap, change, route.start_time, end, order, stops
     if best is None:
         return None
     gap, change, start, end, order, stops = best
-    visits = route.visits[:2 * gap] + tuple(
+    visits = visits[:2 * gap] + tuple(
         ScheduledVisit(r.id, *stop) for r, stop in zip(order, stops))
     placed = RouteSchedule(worker=0, start_time=start, visits=visits, end_time=end)
     return InsertionCandidate(pair[0].id, pair[1].id, gap, change, placed)
@@ -455,16 +445,15 @@ class _State:
     ``routes`` are the closed routes (route i is worker i's), ``current``
     the open one or None.  ``unserved`` maps the unserved ids, in
     increasing order, to their requests; they are the candidates of a
-    pick.  ``live`` counts their unserved partners.  ``after`` maps a
-    candidate id to ``_BLOCKED`` or the next state, and None to where the
-    route close leads.
+    pick, and each has an unserved partner.  ``after`` maps a candidate id
+    to ``_BLOCKED`` or the next state, and None to where the route close
+    leads.
     """
 
     key: tuple
     routes: tuple
     current: object
     unserved: dict
-    live: dict
     after: dict = field(default_factory=dict)
 
 
@@ -489,11 +478,11 @@ class _Graph:
     first attempt and passed to every ``best_insertion`` of the pair.
 
     ``open`` counts the untried candidates of the states held and ``ends``
-    the finished states made.  A state weighs two, one per route and four
-    per unserved request.  States are held up to ``_GRAPH_CAP`` of weight
-    and ``outcomes`` up to as many entries.  A state the cap refuses serves
-    only the walk at hand, the step to it stays untried, and ``refused`` is
-    set; ``open`` then no longer counts.
+    the finished states made.  A state weighs two, plus one per closed
+    route and four per unserved request.  States are held up to
+    ``_GRAPH_CAP`` of weight and ``outcomes`` up to as many entries.  A
+    state the cap refuses serves only the walk at hand, the step to it
+    stays untried, and ``refused`` is set; ``open`` then no longer counts.
     """
 
     def __init__(self, instance, retained, partners):
@@ -508,9 +497,8 @@ class _Graph:
         self.ends = 0
         self.refused = False
         ids = {r.id for r in retained}
-        live = {r.id: sum(p.id in ids for p in partners[r.id]) for r in retained}
-        unserved = {r.id: r for r in retained if live[r.id]}
-        self.root = self._reach(((), None), (), None, unserved, live)
+        unserved = {r.id: r for r in retained if any(p.id in ids for p in partners[r.id])}
+        self.root = self._reach(((), None), (), None, unserved)
 
     def step(self, state, rid):
         """Where trying candidate ``rid`` leads, ``_BLOCKED`` or a state;
@@ -527,7 +515,8 @@ class _Graph:
     def _place(self, state, rid):
         """Couple ``rid`` with its nearest unserved partner and place the
         pair at the cheapest gap of the open route, or of ``_EMPTY_ROUTE``
-        to open the next one."""
+        to open the next one; then give up each partner of the pair that
+        has no unserved partner left."""
         unserved = state.unserved
         for partner in self.partners[rid]:
             if partner.id in unserved:
@@ -548,20 +537,22 @@ class _Graph:
         if placed is None:
             return _BLOCKED
         # A request whose last unserved partner is placed can never be
-        # served: placing lowers only the live counts of the pair's partners,
-        # and those at zero are given up.  The relation is symmetric, so one
-        # round suffices.
+        # served, and is given up.  Only the pair's partners can lose one;
+        # the relation is symmetric, and a request given up is no unserved
+        # request's partner, so one round suffices.
         unserved = dict(unserved)
         del unserved[pickup.id]
         del unserved[delivery.id]
-        live = dict(state.live)
-        for p in self.partners[pickup.id] + self.partners[delivery.id]:
+        partners = self.partners
+        for p in partners[pickup.id] + partners[delivery.id]:
             if p.id in unserved:
-                live[p.id] -= 1
-                if not live[p.id]:
+                for q in partners[p.id]:
+                    if q.id in unserved:
+                        break
+                else:
                     del unserved[p.id]
         key = (closed, (placed.start_time, placed.request_ids))
-        return self._reach(key, state.routes, placed, unserved, live)
+        return self._reach(key, state.routes, placed, unserved)
 
     def _close(self, state):
         """Close the open route, if any; the construction goes on only if
@@ -574,13 +565,13 @@ class _Graph:
             closed += (route_key,)
             going_on = len(routes) < self.instance.parameters.worker_count and state.unserved
             key = (closed, None) if going_on else (closed,)
-        return self._reach(key, routes, None, state.unserved, state.live)
+        return self._reach(key, routes, None, state.unserved)
 
-    def _reach(self, key, routes, current, unserved, live):
+    def _reach(self, key, routes, current, unserved):
         """The state of ``key``; a new one is held if the cap allows."""
         state = self.states.get(key)
         if state is None:
-            state = _State(key, routes, current, unserved, live)
+            state = _State(key, routes, current, unserved)
             finished = len(key) == 1
             self.ends += finished
             weight = 2 + len(routes) + 4 * len(unserved)

@@ -318,3 +318,26 @@ def test_sensitivity_size_sweep(bench_dir):
 def test_sensitivity_rejects_bad_frc_values(vamat_dir):
     assert main(["sensitivity", str(vamat_dir), "--sweep", "frc",
                  "--frc-values", "a,b"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "0,-inf"])
+def test_sensitivity_rejects_a_non_finite_or_negative_frc(vamat_dir, capsys, value):
+    # Refused before any solve: no CSV is written.
+    assert main(["sensitivity", str(vamat_dir), "--sweep", "frc", "--frc-values", value]) == 1
+    err = capsys.readouterr().err
+    assert "Error: vamat_001.json: fixed revenue component must be finite and non-negative" in err
+    assert "Traceback" not in err
+    assert not (vamat_dir / "sensitivity_frc.csv").exists()
+
+
+def test_sensitivity_frc_sweep_refuses_a_flat_revenue_instance(tmp_path, capsys):
+    # The amat set has flat revenues: there is no fixed component to sweep.
+    directory = tmp_path / "amat"
+    assert main(["generate", "--set", "amat", "--count", "2", "--seed", "0",
+                 "--out", str(directory)]) == 0
+    capsys.readouterr()
+    assert main(["sensitivity", str(directory), "--sweep", "frc"]) == 1
+    err = capsys.readouterr().err
+    assert "Error: amat_001.json: repricing requires a variable-revenue instance" in err
+    assert "Traceback" not in err
+    assert not (directory / "sensitivity_frc.csv").exists()

@@ -536,3 +536,57 @@ def test_a_midpoint_the_parent_fails_is_not_walked():
     assert child.states[46.0] is parent.states[46.0]
     assert all(state[0] for state in advanced)
     assert child.start == expected < 46.0
+
+
+# ---------------------------------------------------------------------------
+# The driving-range prune: a child out of range at its start is cut with its
+# subtree, and the range is judged at the start, not at the floor.
+# ---------------------------------------------------------------------------
+
+def _short_range():
+    """Stations on a line 1, 3, 2 and 4 km from the depot hold pickup 1,
+    delivery 2, pickup 3 and delivery 4; a 4-minute ride or a 2-minute
+    drive per km, a 10 km range and a full charge in 100 minutes, so each
+    2 km pair leg needs a charge of 0.2.  Pickup 1 holds 0.1 at its window
+    opening and charges 0.2 more by its closing at 20; pickup 3 is empty
+    and can gain no more than 0.05 by its closing at 5."""
+    big = 10_000.0
+    requests = (
+        Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=0.0, tw_max=20.0, battery=0.1, revenue=20.0),
+        Request(id=2, kind=RequestKind.DELIVERY, location=3, tw_min=0.0, tw_max=big, battery=0.0, revenue=20.0),
+        Request(id=3, kind=RequestKind.PICKUP, location=2, tw_min=0.0, tw_max=5.0, battery=0.0, revenue=20.0),
+        Request(id=4, kind=RequestKind.DELIVERY, location=4, tw_min=0.0, tw_max=big, battery=0.0, revenue=20.0),
+    )
+    distances = tuple(tuple(float(abs(i - j)) for j in range(5)) for i in range(5))
+    return Instance(parameters=Parameters(bike_speed=15.0, ev_speed=30.0, full_range=10.0, recharge_time=100.0),
+                    requests=requests, distances=distances)
+
+
+def _verdicts(instance):
+    return {tuple(r.id for r in seq): verdict for seq, verdict in _judged_children(instance)}
+
+
+def test_a_child_out_of_range_at_its_floor_is_kept_and_starts_late():
+    # Left at the floor, pickup 1 has 0.1 for the 0.2 leg; left at the
+    # ceiling it has charged to 0.3.  Every window holds at both.
+    instance = _short_range()
+    p1, d2 = instance.requests[:2]
+    floor, ceiling = (route_start(instance, p1, t) for t in (p1.tw_min, p1.tw_max))
+    assert _scan_from_depot((p1, d2), floor, instance)[:2] == (True, False)
+    assert _scan_from_depot((p1, d2), ceiling, instance)[:2] == (True, True)
+    assert _verdicts(instance)[(1, 2)] == ceiling
+    _assert_verdicts_match_the_scan(instance)
+
+
+def test_a_child_out_of_range_at_every_departure_is_cut_with_its_subtree():
+    # Pickup 3 never holds the 0.2 its leg needs, though every window holds:
+    # (3, 4) is judged dead, so (3, 4, 1, 2), whose pickup 1 is reached in
+    # its window from (3, 4)'s floor, is never judged.
+    instance = _short_range()
+    p3, d4 = instance.requests[2:]
+    for t in (p3.tw_min, p3.tw_max):
+        assert _scan_from_depot((p3, d4), route_start(instance, p3, t), instance)[:2] == (True, False)
+    verdicts = _verdicts(instance)
+    assert verdicts[(3, 4)] is None
+    assert not any(ids[:2] == (3, 4) and len(ids) > 2 for ids in verdicts)
+    _assert_verdicts_match_the_scan(instance)

@@ -238,6 +238,13 @@ def test_reprice_requires_variable_revenue():
         reprice_frc(vinst, -1.0)
 
 
+@pytest.mark.parametrize("frc", [math.nan, math.inf, -math.inf])
+def test_reprice_refuses_a_non_finite_component(frc):
+    (inst,) = make_benchmark("vamat_like", 1, seed=4)
+    with pytest.raises(ValueError, match="fixed revenue component must be finite and non-negative"):
+        reprice_frc(inst, frc)
+
+
 # ---------------------------------------------------------------------------
 # Hand-built demonstration instance.
 # ---------------------------------------------------------------------------

@@ -430,6 +430,25 @@ def test_a_blocked_attempt_walks_nothing(monkeypatch):
     assert len(walks) == 1 and walks[0][1:3] == (head[0], 0)
 
 
+def test_the_gap_scan_reads_no_departure_past_the_first_late_one(monkeypatch):
+    # On a replay a departure past the first late one is late too, so the
+    # scan stops there.  Here the stored departure of gap 2 is moved to 1,
+    # inside the pair's pickup window (it closes at 1.5): on a route that
+    # is no replay, the gap past the cut is left unread, and its fit
+    # missed, rather than walked.
+    inst, route, pair = _pair_attempt((0.0, 1.0), (0.0, 1.5), (0.0, 10_000.0))
+    visits = list(route.visits)
+    visits[3] = dataclasses.replace(visits[3], arrival=0.0, waiting=0.0)
+    early = dataclasses.replace(route, visits=tuple(visits))
+    assert _simulate_insertion(early, 2, pair, inst)[0]
+    head = insertion._pair_head(pair, inst)
+    walks = []
+    propagate = insertion.propagate
+    monkeypatch.setattr(insertion, "propagate", lambda *args, **kwargs: walks.append(args) or propagate(*args, **kwargs))
+    assert best_insertion(early, pair, inst, head) is None
+    assert walks == []
+
+
 @pytest.mark.parametrize("gap, windows, far", [
     # From the head the route's first pickup is reached at 4.5, half a
     # tolerance past its closing; the pickup 5 a ride away would not be.
