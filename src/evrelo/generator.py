@@ -97,6 +97,15 @@ def generate(config):
     ``random()`` per trip and a right-side search.  The table is built once
     per simulation, not once per trip.
     """
+    return _instance(config, *_simulate(config))
+
+
+def _simulate(config):
+    """``generate``'s simulation: (rows, depot_km, station_km,
+    revenue_model).  ``rows`` holds one (tw_min, kind, station, battery,
+    tw_max, revenue) per request, in id order; ``depot_km`` and
+    ``station_km`` are the road distances from the depot to each station
+    and between stations."""
     rng = np.random.default_rng(config.seed)
     params = Parameters()
     revenue_model = config.revenue_model or RevenueModel()
@@ -179,27 +188,28 @@ def generate(config):
     # math.dist is symmetric, so one depot distance per station serves both
     # the depot's row and its column.
     depot_km = [_road_km(depot, c) for c in coords]
-    at = [s[2] for s in stubs]
-    rows = [(depot_km[s],) + tuple(station_km[s][t] for t in at) for s in range(config.stations)]
-    distances = ((0.0,) + tuple(depot_km[s] for s in at),) + tuple(rows[s] for s in at)
-
-    requests = []
-    for idx, (t, kind, station, battery) in enumerate(stubs):
+    rows = []
+    for t, kind, station, battery in stubs:
         events = dock_log[station] if kind is RequestKind.DELIVERY else depart_log[station]
         later = [e for e in events if e > t]
         tw_max = min(later) if later else horizon
-        requests.append(
-            Request(
-                id=idx + 1,
-                kind=kind,
-                location=idx + 1,
-                tw_min=t,
-                tw_max=tw_max,
-                battery=battery,
-                revenue=revenue_model.draw(rng),
-            )
-        )
+        rows.append((t, kind, station, battery, tw_max, revenue_model.draw(rng)))
+    return rows, depot_km, station_km, revenue_model
 
+
+def _instance(config, rows, depot_km, station_km, revenue_model, truncated_to=None):
+    """The instance of ``config`` whose requests are ``rows`` (as
+    ``_simulate`` gives them): request k at matrix row k, numbered from 1,
+    located at the station that emitted it."""
+    at = [row[2] for row in rows]
+    by_station = [(depot_km[s],) + tuple(station_km[s][t] for t in at)
+                  for s in range(config.stations)]
+    distances = ((0.0,) + tuple(depot_km[s] for s in at),) + tuple(by_station[s] for s in at)
+    requests = tuple(
+        Request(id=k, kind=kind, location=k, tw_min=t, tw_max=tw_max, battery=battery,
+                revenue=revenue)
+        for k, (t, kind, _, battery, tw_max, revenue) in enumerate(rows, start=1)
+    )
     provenance = {
         "seed": config.seed,
         "stations": config.stations,
@@ -208,9 +218,11 @@ def generate(config):
         "horizon": config.horizon,
         "demand_rate": config.demand_rate,
     }
+    if truncated_to is not None:
+        provenance["truncated_to"] = truncated_to
     return Instance(
-        parameters=params,
-        requests=tuple(requests),
+        parameters=Parameters(),
+        requests=requests,
         distances=distances,
         revenue_model=revenue_model,
         provenance=provenance,
@@ -263,44 +275,16 @@ def make_benchmark(set_name, count, seed=0):
     return tuple(instances)
 
 
-def _truncate(instance, max_pickups, max_deliveries):
-    """Keep the chronologically first few requests of each kind, rebuilding
-    ids, locations and the distance matrix accordingly."""
-    kept = []
-    pickups = deliveries = 0
-    for r in instance.requests:
-        if r.kind is RequestKind.PICKUP and pickups < max_pickups:
-            kept.append(r)
-            pickups += 1
-        elif r.kind is RequestKind.DELIVERY and deliveries < max_deliveries:
-            kept.append(r)
-            deliveries += 1
-    index = [0] + [r.location for r in kept]
-    distances = tuple(
-        tuple(instance.distances[i][j] for j in index) for i in index
-    )
-    requests = tuple(
-        replace(r, id=k + 1, location=k + 1) for k, r in enumerate(kept)
-    )
-    provenance = dict(instance.provenance or {})
-    provenance["truncated_to"] = [max_pickups, max_deliveries]
-    return Instance(
-        parameters=instance.parameters,
-        requests=requests,
-        distances=distances,
-        revenue_model=instance.revenue_model,
-        provenance=provenance,
-    )
-
-
 def small_instances(count, seed=0, revenue_model=None):
     """Tiny oracle-sized instances: at most four pickups and four
     deliveries each, generated from short low-demand simulations.
 
-    Each instance is truncated to an equal number of pickups and
-    deliveries.  Unbalanced surpluses can never all be served (routes
-    alternate pickup/delivery), and trimming them up front keeps these
-    miniature fixtures meaningful for solver-vs-solver comparisons.
+    Each instance keeps the chronologically first few requests of each
+    kind, an equal number of pickups and deliveries, renumbered in order;
+    only those requests are built.  Unbalanced surpluses can never all be
+    served (routes alternate pickup/delivery), and trimming them up front
+    keeps these miniature fixtures meaningful for solver-vs-solver
+    comparisons.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -317,9 +301,16 @@ def small_instances(count, seed=0, revenue_model=None):
             revenue_model=model,
             area_km=6.0,
         )
-        inst = generate(cfg)
-        cap = min(4, len(inst.pickups), len(inst.deliveries))
-        out.append(_truncate(inst, cap, cap))
+        rows, depot_km, station_km, revenues = _simulate(cfg)
+        pickups = sum(row[1] is RequestKind.PICKUP for row in rows)
+        cap = min(4, pickups, len(rows) - pickups)
+        taken = dict.fromkeys(RequestKind, 0)
+        kept = []
+        for row in rows:
+            taken[row[1]] += 1
+            if taken[row[1]] <= cap:
+                kept.append(row)
+        out.append(_instance(cfg, kept, depot_km, station_km, revenues, truncated_to=[cap, cap]))
     return tuple(out)
 
 

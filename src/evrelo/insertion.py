@@ -628,6 +628,19 @@ def _uniform_draw(seed):
     return lambda left, state: left[rng.randrange(len(left))]
 
 
+def _unbeatable(solution, objective, candidates):
+    """Whether no walk from a root whose unserved map is ``candidates``
+    can beat ``solution``: ``_best_of_walks``'s bound stop."""
+    requests = candidates.values()
+    if objective == "requests":
+        pickups = sum(r.kind is RequestKind.PICKUP for r in requests)
+        return len(solution.served) >= 2 * min(pickups, len(candidates) - pickups)
+    return (solution.profit >= 0 and len(solution.routes) == 1
+            and len(solution.served) == len(candidates)
+            and all(float(r.revenue).is_integer() for r in requests)
+            and sum(r.revenue for r in requests) < 2 ** 53)
+
+
 def _best_of_walks(instance, objective, pickers):
     """The best solution of the walks of one ``_Graph``, one per picker of
     ``pickers(graph)``, earlier walks keeping ties.
@@ -635,9 +648,23 @@ def _best_of_walks(instance, objective, pickers):
     Screens the partners and preprocesses once.  Only a walk that ends in
     a finished state not made before is scored: under the earliest-wins
     rule a repeat can never win.  With the profit objective, routes that
-    do not pay for their worker are dropped before scoring.  Once every
-    candidate of every held state has been tried and the cap refused no
-    state, every later walk would repeat, and the loop stops.
+    do not pay for their worker are dropped before scoring.  The loop
+    stops early in two ways, and neither changes the result:
+
+    - Exhaustion: once every candidate of every held state has been tried
+      and the cap refused no state, every later walk would repeat.
+    - The bound: once a new best passes ``_unbeatable``, no later walk can
+      score ``value > best_value``.  Every served request is one of the
+      root's candidates.  Under the requests objective a served set
+      balances, so no value exceeds twice the smaller side of the
+      candidates; the values are integers, so the test is exact.  Under the
+      profit objective the test is one route serving every candidate at a
+      value >= 0, with integer candidate revenues of total below 2**53.
+      Every sum of those revenues is exact, in any order, so a solution of
+      k >= 1 routes serving S has the profit fl(R_S - fl(c*k)) <= fl(R - c)
+      by monotone rounding (the worker cost c >= 0), and fl(R - c) is the
+      best's own profit; the empty solution's 0 is no more.  Other
+      revenues, fractional ones included, never stop the loop early.
     """
     check_objective(objective)
     partners = compatible_partners(instance)
@@ -654,6 +681,8 @@ def _best_of_walks(instance, objective, pickers):
             value = objective_value(solution, objective)
             if best is None or value > best_value:
                 best, best_value = solution, value
+                if _unbeatable(best, objective, graph.root.unserved):
+                    break
         if not graph.open and not graph.refused:
             break
     return best
@@ -680,8 +709,9 @@ def run_rh(instance, config=None):
     from (seed, i) and made when the iteration starts, so a seed fixes the
     result.  The best solution under the configured objective wins, earlier
     iterations keeping ties.  A step taken before is followed, not
-    evaluated again; once the graph is exhausted the loop stops with the
-    same result, so ``config.iterations`` is an upper bound.
+    evaluated again.  ``config.iterations`` is an upper bound: the loop
+    stops with the same result once the graph is exhausted, or once the
+    best reaches a value no later iteration can beat (``_best_of_walks``).
     """
     config = config or RhConfig()
     return _best_of_walks(instance, config.objective, lambda graph: (

@@ -6,9 +6,10 @@ import math
 import random
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import grow_route, single_pair_reference, synthetic_instance, synthetic_pairs, tight_windows
 from evrelo import insertion
@@ -541,10 +542,12 @@ def test_rh_value_never_degrades_with_more_iterations():
     assert len(many.served) >= len(few.served)
 
 
-def _rh_every_iteration(instance, config):
-    """(value, solution, draws) of each RH iteration, every construction built."""
+def _rh_every_iteration(instance, config, retained=None):
+    """(value, solution, draws) of each RH iteration, every construction
+    built, over ``retained`` (``preprocess``'s by default)."""
     partners = compatible_partners(instance)
-    retained, _ = preprocess(instance, partners)
+    if retained is None:
+        retained, _ = preprocess(instance, partners)
     for i in range(config.iterations):
         rng = random.Random(config.seed * 1_000_003 + i)
         draws = []
@@ -554,20 +557,66 @@ def _rh_every_iteration(instance, config):
             return left[draws[-1]]
 
         routes, _ = _construct(_Graph(instance, retained, partners), pick)
-        if config.objective == "profit":
-            routes = paying_routes(routes, instance)
-        solution = assemble_solution(routes, instance)
-        value = solution.profit if config.objective == "profit" else len(solution.served)
-        yield value, solution, tuple(draws)
+        yield (*_score(routes, instance, config.objective), tuple(draws))
 
 
-def _rh_reference(instance, config):
+def _score(routes, instance, objective):
+    """(value, solution) of a construction's routes under ``objective``."""
+    if objective == "profit":
+        routes = paying_routes(routes, instance)
+    solution = assemble_solution(routes, instance)
+    return solution.profit if objective == "profit" else len(solution.served), solution
+
+
+def _rh_reference(instance, config, retained=None):
     """The plain best-of-many loop: the first iteration of the best value."""
     best = None
-    for value, solution, _ in _rh_every_iteration(instance, config):
+    for value, solution, _ in _rh_every_iteration(instance, config, retained):
         if best is None or value > best[0]:
             best = (value, solution)
     return best[1]
+
+
+def _meets_the_bound(instance, retained, objective, solution):
+    """Whether no RH iteration over ``retained`` can beat ``solution``
+    under ``objective``, by the bound RH stops at.
+
+    Only a retained request with a retained partner is ever served.  Under
+    the requests objective a served set has as many pickups as deliveries.
+    Under the profit objective the test asks for one route serving every
+    such request at a profit >= 0, and for integer revenues of total below
+    2**53, whose sums are exact in floats."""
+    partners = compatible_partners(instance)
+    ids = {r.id for r in retained}
+    root = [r for r in retained if any(p.id in ids for p in partners[r.id])]
+    if objective == "requests":
+        pickups = sum(r.kind is RequestKind.PICKUP for r in root)
+        return len(solution.served) == 2 * min(pickups, len(root) - pickups)
+    revenues = [r.revenue for r in root]
+    return (all(v == math.floor(v) for v in revenues) and sum(revenues) < 2 ** 53
+            and solution.profit >= 0 and len(solution.routes) == 1
+            and solution.served == {r.id for r in root})
+
+
+def _rh_stop(instance, config, retained=None, exhaustion=True, bound=True):
+    """The iterations RH runs: through the first whose solution is a new
+    best that meets the bound (with ``bound``), or through the one after
+    which no candidate of a state reached is left untried (with
+    ``exhaustion``), whichever comes first; else all of them."""
+    if retained is None:
+        retained, _ = preprocess(instance, compatible_partners(instance))
+    best, seen, states = None, set(), {}
+    for i, (edges, offered, routes) in enumerate(_rh_edges(instance, config, retained)):
+        value, solution = _score(list(routes), instance, config.objective)
+        if best is None or value > best:
+            best = value
+            if bound and _meets_the_bound(instance, retained, config.objective, solution):
+                return i + 1
+        seen.update(edges)
+        states.update(offered)
+        if exhaustion and sum(states.values()) == sum(rid is not None for _, rid in seen):
+            return i + 1
+    return config.iterations
 
 
 # The small fleet and the amat_like instance find their best value in the
@@ -716,9 +765,9 @@ def test_rh_earliest_of_tied_iterations_wins():
         assert run_rh(inst, config) == runs[0][1]
 
 
-def _rh_edges(instance, config):
+def _rh_edges(instance, config, retained=None):
     """(entries, offered, routes) of each RH iteration, every construction
-    built.
+    built, over ``retained`` (``preprocess``'s by default).
 
     A state is the construction at a pick with nothing blocked: its closed
     routes and its open route, each as (start time, visit order).  An
@@ -726,7 +775,8 @@ def _rh_edges(instance, config):
     close after every candidate was blocked, by the state and None.
     ``offered`` maps each state to its number of candidates."""
     partners = compatible_partners(instance)
-    retained, _ = preprocess(instance, partners)
+    if retained is None:
+        retained, _ = preprocess(instance, partners)
     for i in range(config.iterations):
         rng = random.Random(config.seed * 1_000_003 + i)
         edges, offered = [], {}
@@ -763,29 +813,30 @@ def _count_rh_work(monkeypatch):
 
 
 def test_rh_builds_the_iterations_that_reach_an_unseen_edge(monkeypatch):
-    # The graph does not depend on the objective, so one suffices.  It
-    # stops after the iteration that leaves no candidate of a state reached
-    # untried, and scores the first iteration of each construction.
-    config = RhConfig(iterations=200, seed=0, objective="profit")
+    # RH scores the first iteration of each construction, and stops where
+    # ``_rh_stop`` does: after the iteration that leaves no candidate of a
+    # state reached untried, or after the first whose new best meets the
+    # bound.  The graph does not depend on the objective; the bound does.
     walks, built = _count_rh_work(monkeypatch)
-    for instance in RH_CONTRACT_FLEET:
-        seen, firsts, states = set(), {}, {}
-        for i, (edges, offered, routes) in enumerate(_rh_edges(instance, config)):
-            firsts.setdefault(routes, i)
-            seen.update(edges)
-            states.update(offered)
-            if sum(states.values()) == sum(rid is not None for _, rid in seen):
-                break
-        sequences = {draws for _, _, draws in _rh_every_iteration(instance, config)}
-        walks.clear()
-        built.clear()
-        run_rh(instance, config)
-        assert built == list(firsts.values())
-        assert len(walks) == i + 1
-        assert len(built) <= len(sequences)
-    # Two workers, 15-29 draws per construction: every iteration draws a
-    # new sequence, yet few build a construction not built before.
-    assert len(built) < len(sequences) == config.iterations
+    for objective in ("requests", "profit"):
+        config = RhConfig(iterations=200, seed=0, objective=objective)
+        for instance in RH_CONTRACT_FLEET:
+            stop = _rh_stop(instance, config)
+            firsts = {}
+            for i, (_, _, routes) in zip(range(stop), _rh_edges(instance, config)):
+                firsts.setdefault(routes, i)
+            sequences = {draws for _, (_, _, draws) in zip(
+                range(stop), _rh_every_iteration(instance, config))}
+            walks.clear()
+            built.clear()
+            run_rh(instance, config)
+            assert built == list(firsts.values())
+            assert len(walks) == stop
+            assert len(built) <= len(sequences)
+    # Two workers, 15-29 draws per construction, and the bound met at
+    # iteration 130: every iteration draws a new sequence, yet few build a
+    # construction not built before.
+    assert len(built) < len(sequences) == len(walks) == 130
 
 
 def test_rh_stops_once_every_draw_is_taken(monkeypatch):
@@ -799,44 +850,67 @@ def test_rh_stops_once_every_draw_is_taken(monkeypatch):
 
 # Iterations ``run_rh`` runs on each RH_CONTRACT_FLEET instance, for the
 # objectives profit and requests and the seeds 0 and 1 in turn, at 200
-# iterations: where each solve stops once its draws can reach nothing new.
+# iterations: where each solve stops once its draws can reach nothing new
+# or its best meets the bound (``_rh_stop``).
 RH_CONTRACT_STOPS = (
-    1, 1, 1, 1, 88, 148, 88, 148, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7,
-    1, 1, 1, 1, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 2, 7, 10, 27, 10, 27,
-    1, 1, 1, 1, 65, 72, 65, 72, 44, 109, 44, 109, 200, 200, 200, 200,
+    1, 1, 1, 1, 88, 148, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1,
+    1, 1, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 10, 27, 1, 1,
+    1, 1, 1, 1, 26, 30, 26, 30, 15, 38, 15, 38, 130, 100, 2, 2,
 )
 
 
 def test_rh_stops_where_it_always_stopped(monkeypatch):
     walks, _ = _count_rh_work(monkeypatch)
-    stops = []
+    stops, reference = [], []
     for instance in RH_CONTRACT_FLEET:
         for objective in ("profit", "requests"):
             for seed in (0, 1):
+                config = RhConfig(iterations=200, seed=seed, objective=objective)
                 walks.clear()
-                run_rh(instance, RhConfig(iterations=200, seed=seed, objective=objective))
+                run_rh(instance, config)
                 stops.append(len(walks))
-    assert tuple(stops) == RH_CONTRACT_STOPS
+                reference.append(_rh_stop(instance, config))
+    assert tuple(stops) == tuple(reference) == RH_CONTRACT_STOPS
+
+
+def _repriced(instance, revenue):
+    """``instance`` with every request earning ``revenue``."""
+    return dataclasses.replace(instance, requests=tuple(
+        dataclasses.replace(r, revenue=revenue) for r in instance.requests))
 
 
 def test_rh_runs_every_iteration_once_the_graph_is_full(monkeypatch):
-    # These hold more than three requests, so no state fits a cap of 3.
+    # These hold more than three requests, so no state fits a cap of 3 and
+    # the graph is never exhausted: RH runs every iteration up to the
+    # bound.  Their flat integer revenues meet it under profit; at a
+    # fractional revenue it cannot be met, and RH runs all 200.
     monkeypatch.setattr(insertion, "_GRAPH_CAP", 3)
     walks, _ = _count_rh_work(monkeypatch)
+    config = RhConfig(iterations=200, seed=0, objective="profit")
+    stops = []
     for instance in RH_CONTRACT_FLEET[-3:]:
-        config = RhConfig(iterations=200, seed=0, objective="profit")
-        walks.clear()
-        solution = run_rh(instance, config)
-        assert len(walks) == config.iterations
-        assert walks[0].refused
-        assert solution == _rh_reference(instance, config)
+        fractional = _repriced(instance, 20.5)
+        retained, _ = preprocess(fractional, compatible_partners(fractional))
+        assert not any(_meets_the_bound(fractional, retained, "profit", solution)
+                       for _, solution, _ in _rh_every_iteration(fractional, config))
+        for inst in (instance, fractional):
+            walks.clear()
+            solution = run_rh(inst, config)
+            stops.append(len(walks))
+            assert walks[0].refused
+            assert len(walks) == _rh_stop(inst, config, exhaustion=False)
+            assert solution == _rh_reference(inst, config)
+    assert stops == [26, 200, 15, 200, 130, 200]
 
 
 def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
     # Two workers with duty time for one pair each: a route closes after its
     # first pair.  Once the start state (2 + 4 * 4) and a state after a first
     # placement (2 + 4 * 2) are held, a cap of 38 leaves no room for a state
-    # after a close (3 + 4 * 2), so RH runs every iteration.
+    # after a close (3 + 4 * 2), so RH runs every iteration up to the bound.
+    # Every construction serves both pairs in two routes: the first meets
+    # the requests bound, and none can meet the profit bound, which asks
+    # for one route.
     inst = _line(
         [_pickup(1, 1, (0.0, 500.0)), _delivery(2, 2, (0.0, 500.0)),
          _pickup(3, 3, (0.0, 500.0)), _delivery(4, 4, (0.0, 500.0))],
@@ -844,15 +918,22 @@ def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
     )
     monkeypatch.setattr(insertion, "_GRAPH_CAP", 38)
     walks, _ = _count_rh_work(monkeypatch)
-    config = RhConfig(iterations=50, seed=0, objective="requests")
-    solution = run_rh(inst, config)
-    graph = walks[0]
-    assert all(g is graph for g in walks)
-    after_close = [key for key in graph.states if len(key) == 2 and key[0] and key[1] is None]
-    assert graph.refused and not after_close
-    assert len(walks) == config.iterations
-    assert len(solution.served) == 4
-    assert solution == _rh_reference(inst, config)
+    retained, _ = preprocess(inst, compatible_partners(inst))
+    for objective, stop in (("profit", 50), ("requests", 1)):
+        config = RhConfig(iterations=50, seed=0, objective=objective)
+        runs = [solution for _, solution, _ in _rh_every_iteration(inst, config)]
+        assert all(len(s.routes) == 2 and len(s.served) == 4 for s in runs)
+        met = [_meets_the_bound(inst, retained, objective, s) for s in runs]
+        assert met == [objective == "requests"] * len(runs)
+        walks.clear()
+        solution = run_rh(inst, config)
+        graph = walks[0]
+        assert all(g is graph for g in walks)
+        after_close = [key for key in graph.states if len(key) == 2 and key[0] and key[1] is None]
+        assert graph.refused and not after_close
+        assert len(walks) == stop == _rh_stop(inst, config, exhaustion=False)
+        assert len(solution.served) == 4
+        assert solution == _rh_reference(inst, config)
 
 
 def test_construct_shares_one_attempt_record_across_pickers():
@@ -874,15 +955,16 @@ def test_construct_shares_one_attempt_record_across_pickers():
 @pytest.mark.parametrize("cap", [None, 5])
 def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
     # Evaluations are logged by attempt key, an opening (an insertion into
-    # the empty route) under no open route.  The record holds the first
-    # ``cap`` keys evaluated, and none of those is evaluated twice.
+    # the empty route) under no open route, and split by the walk that
+    # made them.  The record holds the first ``cap`` keys evaluated, and
+    # none of those is evaluated twice.
     if cap is not None:
         monkeypatch.setattr(insertion, "_GRAPH_CAP", cap)
     cap = insertion._GRAPH_CAP
     records, evaluated = [], []
     construct, best = insertion._construct, insertion.best_insertion
     monkeypatch.setattr(insertion, "_construct",
-                        lambda *args: records.append(args[0]) or construct(*args))
+                        lambda *args: records.append((args[0], len(evaluated))) or construct(*args))
     monkeypatch.setattr(insertion, "best_insertion", lambda route, pair, instance, opening: evaluated.append(
         (None if route is _EMPTY_ROUTE else (route.start_time, route.request_ids),
          pair[0].id, pair[1].id))
@@ -890,20 +972,29 @@ def test_rh_evaluates_each_attempt_once(cap, monkeypatch):
     for instance in RH_CONTRACT_FLEET:
         solves = []
         for objective in ("profit", "requests"):
+            config = RhConfig(iterations=200, seed=0, objective=objective)
+            # (The references evaluate through the patched best_insertion.)
+            stops = {exhaustion: _rh_stop(instance, config, exhaustion=exhaustion)
+                     for exhaustion in (True, False)}
             records.clear()
             evaluated.clear()
-            run_rh(instance, RhConfig(iterations=200, seed=0, objective=objective))
-            record = records[0]
-            assert all(r is record for r in records)
+            run_rh(instance, config)
+            record = records[0][0]
+            assert all(r is record for r, _ in records)
+            # A refused state keeps the graph open: only the bound stops it.
+            assert len(records) == stops[not record.refused]
             outcomes = record.outcomes
             assert list(outcomes) == list(dict.fromkeys(evaluated))[:cap]
             counts = Counter(evaluated)
             assert all(counts[key] == 1 for key in outcomes)
-            solves.append((record, list(evaluated)))
-        # Each solve starts from a fresh record: both objectives make the
-        # same draws, so the same evaluations.
+            starts = [start for _, start in records] + [len(evaluated)]
+            solves.append((record, [evaluated[a:b] for a, b in zip(starts, starts[1:])]))
+        # Each solve starts from a fresh record.  Both objectives make the
+        # same draws, so the same evaluations walk by walk, up to the walk
+        # where the first of them stops.
         (profit_record, profit), (requests_record, requests) = solves
-        assert profit_record is not requests_record and profit == requests
+        common = min(len(profit), len(requests))
+        assert profit_record is not requests_record and profit[:common] == requests[:common]
 
 
 @given(st.integers(min_value=0, max_value=5_000), st.sampled_from([1, 2]),
@@ -916,6 +1007,106 @@ def test_rh_equals_the_plain_loop(seed, workers, iterations):
     for objective in ("profit", "requests"):
         config = RhConfig(iterations=iterations, seed=seed, objective=objective)
         assert run_rh(instance, config) == _rh_reference(instance, config)
+
+
+# Revenue makers by name: "fractional" mixes integer revenues with ones
+# whose sums round.
+_REVENUES = {
+    "integer": lambda rng: float(rng.randint(1, 40)),
+    "fractional": lambda rng: rng.randint(0, 40) + rng.choice([0.0, 0.1, 0.25]),
+    "zero": lambda rng: 0.0,
+}
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.sampled_from(sorted(_REVENUES)),
+       st.sampled_from([0.0, 30.0, 1_000.0]), st.sampled_from([1, 2]), st.booleans(),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=200)
+def test_rh_stops_at_the_first_best_that_meets_the_bound(
+        seed, pickups, deliveries, revenue, worker_cost, workers, balanced, iterations):
+    # Up to six requests on a line, about half of the windows narrowed.  A
+    # worker cost of 1,000 exceeds every route's revenue.  Unbalanced, the
+    # solve keeps every request that has a partner, so the root's sides
+    # can differ in size.
+    rng = random.Random(seed)
+    kinds = [_pickup] * pickups + [_delivery] * deliveries
+    requests = []
+    for i, make in enumerate(kinds, start=1):
+        lo = rng.uniform(0.0, 200.0)
+        requests.append(dataclasses.replace(make(i, i, (lo, lo + rng.uniform(30.0, 300.0))),
+                                            revenue=_REVENUES[revenue](rng)))
+    instance = tight_windows(_line(
+        requests, [rng.uniform(-15.0, 15.0) for _ in kinds], worker_cost=worker_cost,
+        worker_count=workers, duty_time=rng.choice([120.0, 240.0, 480.0])), rng)
+    partners = compatible_partners(instance)
+    if balanced:
+        retained, _ = preprocess(instance, partners)
+    else:
+        retained = tuple(r for r in instance.requests if partners[r.id])
+    walks = []
+    construct = insertion._construct
+    with mock.patch.object(insertion, "preprocess", lambda *args: (retained, ())), \
+            mock.patch.object(insertion, "_construct",
+                              lambda *args: walks.append(args[0]) or construct(*args)):
+        for objective in ("profit", "requests"):
+            config = RhConfig(iterations=iterations, seed=seed, objective=objective)
+            walks.clear()
+            assert run_rh(instance, config) == _rh_reference(instance, config, retained)
+            assert len(walks) == _rh_stop(instance, config, retained)
+
+
+def _two_pair_line(**params):
+    """Pair (1, 2) early, pair (3, 4) late, on a line; (3, 2) cannot pair.
+    Delivery 4 is nearest to pickup 1, so a walk that first picks 1 places
+    (1, 4), strands 2 and 3 and serves one pair; every other walk serves
+    both pairs in one route."""
+    return _line(
+        [_pickup(1, 1, (0.0, 60.0)), _delivery(2, 2, (0.0, 120.0)),
+         _pickup(3, 3, (200.0, 260.0)), _delivery(4, 4, (200.0, 320.0))],
+        coords=[10.0, 20.0, 8.5, 9.0], duty_time=480.0, worker_count=1, **params)
+
+
+def test_a_route_that_falls_short_of_its_cost_by_less_than_eps_loses():
+    # Revenue 80 against a worker cost of 80 + EPS / 2: the one route that
+    # serves all four pays (80 >= cost - EPS) at a negative profit, so it
+    # cannot meet the bound, and the first walk of (1, 4), whose route does
+    # not pay, gives the empty solution, which beats it.
+    instance = _two_pair_line(worker_cost=80.0 + EPS / 2)
+    config = RhConfig(iterations=20, seed=0, objective="profit")
+    runs = list(_rh_every_iteration(instance, config))
+    first = runs[0][1]
+    assert len(first.routes) == 1 and len(first.served) == 4 and -EPS <= first.profit < 0
+    empty = next(i for i, (_, solution, _) in enumerate(runs) if not solution.routes)
+    assert empty == 2
+    solution = run_rh(instance, config)
+    assert solution == runs[empty][1] == _rh_reference(instance, config)
+    # At a cost of exactly 80 the first walk's profit is 0, which no walk
+    # beats: RH stops after it.
+    exact = _two_pair_line(worker_cost=80.0)
+    assert run_rh(exact, config) == next(_rh_every_iteration(exact, config))[1]
+
+
+@pytest.mark.parametrize("revenue, bound", [
+    (20.0, True), (0.0, True), (2.0 ** 51, True),
+    (20.5, False), (0.1, False), (2.0 ** 52, False),
+])
+def test_only_exactly_summed_revenues_stop_rh_at_the_bound(revenue, bound, monkeypatch):
+    # One pair and no worker cost: the first walk serves both requests in
+    # one route at the best profit.  It meets the bound when the revenues
+    # are integers of total below 2**53; otherwise RH stops only once both
+    # requests have been drawn first.
+    instance = _repriced(single_pair_reference(), revenue)
+    instance = dataclasses.replace(instance, parameters=dataclasses.replace(
+        instance.parameters, worker_cost=0.0))
+    walks, _ = _count_rh_work(monkeypatch)
+    config = RhConfig(iterations=50, seed=1, objective="profit")
+    solution = run_rh(instance, config)
+    assert solution == _rh_reference(instance, config)
+    assert solution.served == {1, 2}
+    exhausted = _rh_stop(instance, config, bound=False)
+    assert exhausted == 7
+    assert len(walks) == (1 if bound else exhausted)
 
 
 # ---------------------------------------------------------------------------
