@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from .errors import EvreloError
+from .errors import EvreloError, RejectedRoute
 from .exact import OracleLimits
 from .feasibility import validate_solution
 from .generator import make_benchmark, reprice_frc
@@ -256,7 +256,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
-    except _SolverCheckFailure as exc:
+    except (_SolverCheckFailure, RejectedRoute) as exc:
         click.echo(f"internal error: {exc}", err=True)
         return 2
     except EvreloError as exc:

@@ -64,3 +64,7 @@ class DegenerateConfig(EvreloError):
 
 class InstanceTooLarge(EvreloError):
     """The exact solver was asked to enumerate more requests than its limit."""
+
+
+class RejectedRoute(EvreloError):
+    """A solver built a route that the validator rejects."""

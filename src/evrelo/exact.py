@@ -12,23 +12,29 @@ get harder as the departure moves later, while driving-range and duty-time
 conditions only get easier, so the sequence is feasible iff the latest
 window-compatible departure also satisfies the range and duty conditions.
 
-The enumeration never replays a sequence from the depot to judge it.  The
-schedule recurrence composes over a prefix, so each search node carries its
-sequence's end states at the departures it is judged at (the floor and the
-ceiling its first pickup fixes, plus any bisection midpoints asked about),
-and a child is judged by walking its one new pair on from those states.
-Work whose verdict is already known is skipped: a pickup that is late when
+The enumeration never replays a sequence to judge it.  The schedule
+recurrence composes over a prefix, so each search node carries its
+sequence's end states at the floor and the ceiling its first pickup fixes,
+and a child is judged by walking its one new pair on from those states.  A
+child whose latest window-compatible departure lies between the two is
+walked from the depot only a few times: its window slack at the floor
+estimates that departure, and walks around the estimate settle it.  Work
+whose verdict is already known is skipped: a pickup that is late when
 reached from a node's floor state is not judged with any delivery, and a
-state whose windows already fail is handed down to the child unwalked.
+ceiling state whose windows already fail is handed down unwalked.  A served
+set is recorded as its start and visit order once its label, plus the ride
+home, fits the duty time; only the routes a packing picks are replayed and
+validated.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import InstanceTooLarge
-from .feasibility import propagate, replay_route, route_start, validate_route
+from .errors import InstanceTooLarge, RejectedRoute
+from .feasibility import propagate, replay_route, route_end, route_start, validate_route
 from .insertion import run_ch
 from .model import (
     EPS,
@@ -93,18 +99,17 @@ class _Label:
     ``lo`` and ``hi`` are the floor and the ceiling, the departures that put
     the first pickup at its window opening and closing; every extension of
     the sequence shares them.  ``floor`` and ``ceiling`` are the end states
-    there, and ``states`` holds the end state at each bisection midpoint
-    asked about.  A ceiling or midpoint state whose windows fail is handed
-    down unchanged, as only that failure matters to the descendants: its
-    other fields are never read.  ``start`` is the chosen depot departure.
+    there.  A ceiling state whose windows fail is handed down unchanged, as
+    only that failure matters to the descendants: its other fields are never
+    read.  ``start`` is the chosen depot departure and ``end`` the end state
+    there, which decides every condition of the route but the ride home.
     """
 
-    __slots__ = ("lo", "hi", "floor", "ceiling", "states", "start")
+    __slots__ = ("lo", "hi", "floor", "ceiling", "start", "end")
 
     def __init__(self, lo, hi, floor, ceiling):
         self.lo, self.hi = lo, hi
         self.floor, self.ceiling = floor, ceiling
-        self.states = {}
 
 
 def _depot_label(first, instance):
@@ -114,6 +119,81 @@ def _depot_label(first, instance):
     return _Label(lo, hi, (True, True, lo, 0), (True, True, hi, 0))
 
 
+def _window_slack(instance, start, requests):
+    """How much later than ``start`` the depot departure may move before a
+    window or charge-target condition of ``requests`` fails, in exact
+    arithmetic, read off one walk from ``start`` (forward time slack).
+
+    A delay reaches a stop less the waits before it.  A charge target holds
+    its margin while the delay only adds parked recharge, that is until the
+    EV is full; from there each minute of delay costs a minute's recharge.
+    Only an estimate in floating point: ``_latest_start`` walks around it.
+    """
+    par = instance.parameters
+    recharge = par.recharge_time
+    stops, _, _ = propagate(instance, start, 0, requests)
+    slack, waited = math.inf, 0.0
+    pairs = iter(requests)
+    for (pickup, delivery), (arrival, wait, charge), (d_arrival, d_wait, _) in zip(
+            zip(pairs, pairs), stops[::2], stops[1::2]):
+        slack = min(slack, waited + (pickup.tw_max + EPS - arrival))
+        waited += wait
+        slack = min(slack, waited + (delivery.tw_max + EPS - d_arrival))
+        full = max(0.0, (1.0 - pickup.battery) * recharge - (arrival + wait - pickup.tw_min))
+        left = charge - instance.distances[pickup.location][delivery.location] / par.full_range
+        margin = left + (delivery.tw_max - d_arrival) / recharge - (delivery.battery - EPS)
+        slack = min(slack, waited + full + margin * recharge)
+        waited += d_wait
+    return slack
+
+
+def _latest_start(label, order, instance):
+    """(start, end state) of ``order`` between ``label``'s floor, where its
+    windows and charge targets hold, and its ceiling, where they fail.
+
+    The start is what 60 halvings of [floor, ceiling] give when each
+    midpoint is judged by walking ``order`` from the depot.  Those
+    conditions hold on a down-closed set of departures, so the halvings are
+    replayed against the latest departure ``a`` known to pass and the
+    earliest ``b`` known to fail, walking only a midpoint strictly between
+    the two.  First, walks that gallop in doubling ulps from the slack
+    estimate bring ``a`` and ``b`` to either side of the largest passing
+    float, so the replay seldom walks.  The estimate sets only the number
+    of walks, never the start.  The end state is the walk at ``a`` when the
+    halvings stop there, else one more walk.
+    """
+    a, end, b = label.lo, label.floor, label.hi
+    x = a + _window_slack(instance, a, order)
+    step = math.ulp(x)
+    for _ in range(8):  # a bracket left open is closed by the halvings
+        if not a < x < b:
+            break  # past an end: the gallop turned, or the estimate lies outside
+        state = _advance((True, True, x, 0), order, instance)
+        if state[0]:
+            a, end, x = x, state, x + step
+        else:
+            b, x = x, x - step
+        step *= 2.0
+    lo, hi = label.lo, label.hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no later halving can move either end
+        if a < mid < b:
+            state = _advance((True, True, mid, 0), order, instance)
+            if state[0]:
+                a, end = mid, state
+            else:
+                b = mid
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+    if lo != a:
+        end = _advance((True, True, lo, 0), order, instance)
+    return lo, end
+
+
 def _child_label(parent, seq, pickup, delivery, instance):
     """Label of ``seq + [pickup, delivery]`` from ``parent``, the label of
     ``seq``, or None when no extension of the child can be feasible.
@@ -121,15 +201,14 @@ def _child_label(parent, seq, pickup, delivery, instance):
     The child's start is the latest depot departure under which every
     window and charge-target condition holds.  Those conditions hold on a
     down-closed set of departures, so a child failing them at the floor is
-    dead; one passing them at the ceiling starts there; otherwise the start
-    is bisected between the two.  Each end state is the parent's state at
-    the same departure walked on by the one pair, the parent's midpoint
-    states being memoised so that siblings share them; a parent state whose
-    windows fail is the child's state unwalked (``_advance`` never sets a
-    flag back to True).  A child whose own driving-range or duty conditions
-    (duty measured without the ride home, which an extension replaces)
-    already fail at its start condemns its whole subtree, since appending
-    pairs only adds conditions and time.
+    dead; one passing them at the ceiling starts there; otherwise
+    ``_latest_start`` finds the start in between.  The floor and ceiling
+    states are the parent's walked on by the one pair; a parent ceiling
+    state whose windows fail is the child's unwalked (``_advance`` never
+    sets a flag back to True).  A child whose own driving-range or duty
+    conditions (duty measured without the ride home, which an extension
+    replaces) already fail at its start condemns its whole subtree, since
+    appending pairs only adds conditions and time.
     """
     pair = (pickup, delivery)
     floor = _advance(parent.floor, pair, instance)
@@ -142,45 +221,29 @@ def _child_label(parent, seq, pickup, delivery, instance):
     if ceiling[0]:
         start, end = child.hi, ceiling
     else:
-        lo, hi, end = child.lo, child.hi, floor
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # no later halving can move either end
-            if seq:
-                state = parent.states.get(mid)
-                if state is None:
-                    state = parent.states[mid] = _advance((True, True, mid, 0), seq, instance)
-            else:
-                state = (True, True, mid, 0)  # leaving the depot
-            if state[0]:
-                state = _advance(state, pair, instance)
-            child.states[mid] = state  # a failed state is handed down unchanged
-            if state[0]:
-                lo, end = mid, state
-            else:
-                hi = mid
-        start = lo
+        start, end = _latest_start(child, (*seq, pickup, delivery), instance)
     _, range_ok, dep, _ = end
     if range_ok and dep - start <= instance.parameters.duty_time + EPS:
-        child.start = start
+        child.start, child.end = start, end
         return child
     return None
 
 
 def _feasible_route_masks(instance, limits, deadline):
-    """Map from served-id frozenset to one representative feasible route.
+    """Map from served-id frozenset to (start, order) of one representative
+    feasible route.
 
     Depth-first over pair sequences in id order, each node carrying its
     sequence's label so that a child is judged by walking one pair on from
     its parent's end states.  A pickup that is late when reached from the
     node's floor state is skipped with all its deliveries: that is the first
     test ``_child_label`` makes, so each of those children would be None.
-    A served set's representative is its first sequence whose route,
-    replayed from the label's start, passes the validator (which adds the
-    ride home and judges the duty time); later sequences are not
-    materialized.  Returns (masks, complete) where complete is False when
-    the time budget cut the enumeration short.
+    A served set's representative is its first sequence whose label, plus
+    the ride home, fits the duty time (``route_end``).  The label has
+    already decided every other condition, at the start the route is
+    replayed from, with ``propagate``'s own arithmetic, so this is the
+    validator's verdict on that replay.  Returns (masks, complete) where
+    complete is False when the time budget cut the enumeration short.
     """
     pickups = sorted(instance.pickups, key=lambda r: r.id)
     deliveries = sorted(instance.deliveries, key=lambda r: r.id)
@@ -197,10 +260,8 @@ def _feasible_route_masks(instance, limits, deadline):
         limits.nodes += 1
         if seq:
             key = frozenset(used)
-            if key not in masks:
-                route = replay_route(instance, label.start, seq)
-                if validate_route(route, instance).ok:
-                    masks[key] = route
+            if key not in masks and route_end(instance, label.start, label.end[2], seq[-1])[1]:
+                masks[key] = (label.start, tuple(seq))
         for p in pickups:
             if p.id in used:
                 continue
@@ -234,7 +295,9 @@ def solve_exact(instance, objective="profit", limits=None):
     search, in which case the best solution found so far is flagged
     non-optimal.  Under a budget, and only then, ``run_ch``'s solution is
     the incumbent: a search cut short returns it when it beats the best
-    packing found.
+    packing found.  The packed routes, and only those, are replayed from
+    their starts and validated; a route the validator rejects raises
+    ``RejectedRoute``.
     """
     check_objective(objective)
     limits = limits if limits is not None else OracleLimits()
@@ -258,11 +321,11 @@ def solve_exact(instance, objective="profit", limits=None):
         return sum(worth[i] for i in ids)
 
     candidates = []
-    for ids, route in mask_map.items():
+    for ids, plan in mask_map.items():
         value = pool_value(ids) - cost
         if value <= _TIE_TOL:
             continue  # can never raise the objective; dropping keeps routes minimal
-        candidates.append((value, tuple(sorted(ids)), frozenset(ids), route))
+        candidates.append((value, tuple(sorted(ids)), frozenset(ids), plan))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     suffix_ids = [frozenset()] * (len(candidates) + 1)
     for i in range(len(candidates) - 1, -1, -1):
@@ -313,7 +376,12 @@ def solve_exact(instance, objective="profit", limits=None):
     if not best["picks"]:
         solution = empty_solution(instance, optimal=complete)
     else:
-        routes = [candidates[j][3] for j in best["picks"]]
+        routes = []
+        for j in best["picks"]:
+            route = replay_route(instance, *candidates[j][3])
+            if not validate_route(route, instance).ok:
+                raise RejectedRoute(f"the validator rejects the packed route serving {candidates[j][1]}")
+            routes.append(route)
         solution = assemble_solution(routes, instance, optimal=complete)
     if not complete and (objective_value(incumbent, objective)
                          > objective_value(solution, objective) + _TIE_TOL):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import single_pair_reference
 from evrelo.cli import main
-from evrelo.feasibility import validate_solution
+from evrelo.feasibility import ValidationResult, Violation, validate_solution
 from evrelo.generator import make_benchmark, small_instances
 from evrelo.io import instance_to_dict, load_instance, load_solution, save_instance, save_solution
 from evrelo.insertion import run_ch
@@ -98,6 +98,13 @@ def test_solve_exact_reports_optimality(instance_file, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert load_solution(out).optimal is True
     assert "optimal yes" in capsys.readouterr().out
+
+
+def test_exact_route_the_validator_rejects_is_exit_two(instance_file, monkeypatch, capsys):
+    monkeypatch.setattr("evrelo.exact.validate_route",
+                        lambda route, instance: ValidationResult((Violation("duty"),)))
+    assert main(["solve", str(instance_file), "--algorithm", "exact"]) == 2
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_solve_csv_format(instance_file, capsys):

@@ -4,16 +4,26 @@ and a brute-force cross-check against a departure-time grid scan."""
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance, tight_windows
 from evrelo import exact
-from evrelo.errors import InstanceTooLarge
+from evrelo.errors import InstanceTooLarge, RejectedRoute
 from evrelo.exact import OracleLimits, optimality_gap, solve_exact
-from evrelo.feasibility import propagate, replay_route, route_start, validate_route, validate_solution
+from evrelo.feasibility import (
+    ValidationResult,
+    Violation,
+    propagate,
+    replay_route,
+    route_end,
+    route_start,
+    validate_route,
+    validate_solution,
+)
 from evrelo.generator import make_benchmark
 from evrelo.insertion import run_ch
 from evrelo.model import (
@@ -179,12 +189,14 @@ def test_oracle_limits_refuse_a_cap_that_is_no_whole_count():
     assert OracleLimits(max_requests=0).max_requests == 0
 
 
-def _masks_digest(masks):
-    """SHA-256 over every served set and the exact values of its route."""
+def _masks_digest(masks, instance):
+    """SHA-256 over every served set and the exact values of its route,
+    replayed from the stored (start, order)."""
+    routes = {ids: replay_route(instance, start, order) for ids, (start, order) in masks.items()}
     rows = sorted(
         (tuple(sorted(ids)), route.start_time, route.end_time,
          tuple((v.request_id, v.arrival, v.waiting, v.ev_charge) for v in route.visits))
-        for ids, route in masks.items()
+        for ids, route in routes.items()
     )
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
@@ -215,7 +227,7 @@ def test_exact_counts_search_nodes():
         masks, complete = exact._feasible_route_masks(instances[index], limits, None)
         assert complete
         assert (limits.nodes, len(masks)) == (nodes, served_sets), index
-        assert _masks_digest(masks) == digest, index
+        assert _masks_digest(masks, instances[index]) == digest, index
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +336,32 @@ def _scan_from_depot(seq, start, instance):
     return windows_ok, range_ok, dep
 
 
+def _bisection(order, instance):
+    """The reference: (start, last failing midpoint) from 60 halvings of
+    [floor, ceiling], every midpoint walked from the depot, or None unless
+    the floor passes and the ceiling fails."""
+    first = order[0]
+    lo = route_start(instance, first, first.tw_min)
+    hi = route_start(instance, first, first.tw_max)
+    if not _scan_from_depot(order, lo, instance)[0] or _scan_from_depot(order, hi, instance)[0]:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _scan_from_depot(order, mid, instance)[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _latest_window_start(seq, instance):
     """Ceiling if it passes, None if the floor fails, else 60 halvings."""
     first = seq[0]
     hi = route_start(instance, first, first.tw_max)
     if _scan_from_depot(seq, hi, instance)[0]:
         return hi
-    lo = route_start(instance, first, first.tw_min)
-    if not _scan_from_depot(seq, lo, instance)[0]:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _scan_from_depot(seq, mid, instance)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    bisected = _bisection(seq, instance)
+    return None if bisected is None else bisected[0]
 
 
 def _viable_schedule(seq, instance):
@@ -398,6 +420,184 @@ def test_incremental_verdicts_equal_the_scan_on_amat_like():
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=3))
 def test_incremental_verdicts_equal_the_scan_on_synthetic_instances(seed, n_pairs):
     _assert_verdicts_match_the_scan(synthetic_instance(random.Random(seed), n_pairs=n_pairs))
+
+
+# ---------------------------------------------------------------------------
+# The start search: ``_latest_start`` gives, bit for bit, the start that 60
+# halvings of [floor, ceiling] give when every midpoint is walked from the
+# depot, and the end state there; the slack estimate sets only the number
+# of walks.
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    """``x`` with the sign of a zero."""
+    return x, math.copysign(1.0, x)
+
+
+def _depot_walked_label(order, instance):
+    """The label of ``order`` with its floor and ceiling states walked from
+    the depot."""
+    depot = exact._depot_label(order[0], instance)
+    return exact._Label(depot.lo, depot.hi, exact._advance(depot.floor, order, instance),
+                        exact._advance(depot.ceiling, order, instance))
+
+
+def _check_start(order, instance, seen):
+    """``_child_label`` and ``_latest_start`` on ``order`` against the
+    reference; adds to ``seen`` what the case exercised."""
+    seq, (pickup, delivery) = list(order[:-2]), order[-2:]
+    parent = _depot_walked_label(seq, instance) if seq else exact._depot_label(order[0], instance)
+    child = exact._child_label(parent, seq, pickup, delivery, instance)
+    verdict = _viable_schedule(order, instance)
+    assert (child is None) == (verdict is None)
+    if child is not None:
+        assert _bits(child.start) == _bits(verdict)
+        assert child.end[:3] == _scan_from_depot(order, child.start, instance)
+    reference = _bisection(order, instance)
+    if reference is None:
+        return
+    start, failing = reference
+    start_found, end = exact._latest_start(_depot_walked_label(order, instance), order, instance)
+    assert _bits(start_found) == _bits(start)
+    assert end[:3] == _scan_from_depot(order, start, instance)
+    seen.add("bisected")
+    if math.nextafter(start, math.inf) < failing:
+        seen.add("halvings stop short")
+    if start < 0.0:
+        seen.add("negative start")
+    stops, _, failures = propagate(instance, failing, 0, order)
+    codes = {code for code, _ in failures}
+    if codes & {"pickup_window", "delivery_window"}:
+        seen.add("later window")
+    if "battery_target" in codes and any(
+            code == "battery_target" and stops[visit - 1][2] == 1.0 for code, visit in failures):
+        seen.add("target at full charge")
+
+
+@st.composite
+def _start_cases(draw):
+    """1-3 pairs on a line, 4 bike or 2 EV minutes per km, with windows
+    drawn around the walk from a departure between -60 and 60: each opens
+    up to 50 minutes before that walk's arrival and closes 0-5 (narrow) or
+    5-300 (wide) minutes after it, so the floor mostly passes and a later
+    window or a charge target often fails before the ceiling.  Battery
+    levels near or at 1 and a short recharge time let a target bind at full
+    charge.  With no handling time and stations at the depot, the end
+    departure is the start itself.  In the near-zero cases the walk leaves at 0 and one later stop
+    closes within 0.3 of where that walk reaches it."""
+    n_pairs = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(0, 6).map(float), min_size=2 * n_pairs, max_size=2 * n_pairs))
+    battery = st.one_of(st.floats(0.0, 1.0), st.floats(0.9, 1.0), st.just(1.0))
+    near_zero = draw(st.booleans())
+    departure = 0.0 if near_zero else draw(st.floats(-60.0, 60.0))
+    pts = [0.0] + coords
+    instance = Instance(
+        parameters=Parameters(bike_speed=15.0, ev_speed=30.0, full_range=20.0,
+                              recharge_time=draw(st.sampled_from([10.0, 60.0, 240.0])),
+                              park_time=draw(st.sampled_from([0.0, 1.0])),
+                              load_time=draw(st.sampled_from([0.0, 1.0]))),
+        requests=tuple(
+            Request(id=i + 1, kind=RequestKind.DELIVERY if i % 2 else RequestKind.PICKUP, location=i + 1,
+                    tw_min=-1e4, tw_max=1e4, battery=draw(battery), revenue=20.0)
+            for i in range(2 * n_pairs)),
+        distances=tuple(tuple(abs(a - b) for b in pts) for a in pts))
+    # Windows opening no later than the arrival keep the walk wait-free.
+    stops, _, _ = propagate(instance, departure, 0, instance.requests)
+    width = st.one_of(st.floats(0.0, 5.0), st.floats(5.0, 300.0))
+    requests = [dataclasses.replace(r, tw_min=arrival - draw(st.floats(0.0, 50.0)), tw_max=arrival + draw(width))
+                for r, (arrival, _, _) in zip(instance.requests, stops)]
+    if near_zero:
+        later = draw(st.integers(1, len(requests) - 1))
+        closing = stops[later][0] - EPS + draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 0.3, -0.3]))
+        requests[later] = dataclasses.replace(requests[later], tw_min=min(requests[later].tw_min, closing),
+                                              tw_max=closing)
+    return dataclasses.replace(instance, requests=tuple(requests))
+
+
+def test_the_start_is_the_bisections():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(_start_cases())
+    def check(instance):
+        reqs = instance.requests
+        for k in range(2, len(reqs) + 1, 2):
+            _check_start(reqs[:k], instance, seen)
+
+    check()
+    assert seen == {"bisected", "halvings stop short", "negative start", "later window",
+                    "target at full charge"}, seen
+
+
+def test_the_start_is_the_bisections_on_amat_like():
+    bisected = 0
+    for instance in _small_amat_like():
+        for order, _ in _judged_children(instance):
+            seen = set()
+            _check_start(order, instance, seen)
+            bisected += "bisected" in seen
+    assert bisected > 0
+
+
+def test_the_end_state_is_the_one_at_the_start_the_halvings_give():
+    # One pair at the depot with no handling time: the end departure is the
+    # start itself.  The latest passing departure is 0.3, and the estimate
+    # finds it, but 60 halvings of [-1, 100] stop an ulp below it: the end
+    # state is the one there.
+    requests = (
+        Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=-1.0, tw_max=100.0, battery=1.0, revenue=20.0),
+        Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=-100.0, tw_max=0.3 - EPS, battery=0.0,
+                revenue=20.0),
+    )
+    instance = Instance(parameters=Parameters(park_time=0.0, load_time=0.0), requests=requests,
+                        distances=((0.0, 0.0, 0.0),) * 3)
+    order = list(requests)
+    assert _scan_from_depot(order, 0.3, instance)[0] and not _scan_from_depot(order, math.nextafter(0.3, 1), instance)[0]
+    child = exact._child_label(exact._depot_label(requests[0], instance), [], *requests, instance)
+    assert child.start == _bisection(order, instance)[0] == math.nextafter(0.3, 0)
+    assert child.end == (True, True, child.start, 2)
+
+
+def test_the_estimate_brackets_the_start_on_amat_like():
+    # The slack estimate is within a few ulps of the start: each bisected
+    # child costs at most 4 walks from the depot, not about 45 halvings.
+    walks = []
+    search = exact._latest_start
+
+    def spy(label, order, instance):
+        with pytest.MonkeyPatch.context() as patch:
+            advanced = _spy_on_advance(patch)
+            found = search(label, order, instance)
+        walks.append(len(advanced))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_latest_start", spy)
+        for instance in _small_amat_like():
+            exact._feasible_route_masks(instance, OracleLimits(max_requests=16), None)
+    assert len(walks) == 110 and max(walks) <= 4, (len(walks), max(walks))
+
+
+def _count_walks(instance):
+    with pytest.MonkeyPatch.context() as patch:
+        advanced = _spy_on_advance(patch)
+        _assert_verdicts_match_the_scan(instance)
+    return len(advanced)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda instance, start, order: -1e9,  # far too low
+    lambda instance, start, order: 1e9,  # far too high
+    lambda instance, start, order: float("nan"),
+], ids=["too-low", "too-high", "nan"])
+def test_a_wrong_estimate_costs_walks_not_the_start(estimate):
+    walks = patched = 0
+    for instance in _small_amat_like():
+        walks += _count_walks(instance)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_window_slack", estimate)
+            patched += _count_walks(instance)
+    assert patched > walks
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +719,74 @@ def test_a_midpoint_the_parent_fails_is_not_walked():
     # asks it to walk a failed state.
     for instance in _small_amat_like():
         assert all(state[0] for state in _enumerate_with_spies(instance)[2])
-    # The parent (1, 2) leaves the depot between -4 and 96 and is given a
-    # failed state at the first midpoint, 46.  Its child (3, 4) fails its
-    # ceiling (pickup 3 closes at 30), so it is bisected: at 46 it keeps
-    # the parent's state, walking nothing, and it starts where it would
-    # without that state.
-    instance = _late_second_pickup(30.0, first_close=100.0)
-    p1, d2, p3, d4 = instance.requests
-    parent = exact._child_label(exact._depot_label(p1, instance), [], p1, d2, instance)
-    assert (parent.lo, parent.hi, parent.start) == (-4.0, 96.0, 96.0)
-    expected = exact._child_label(parent, [p1, d2], p3, d4, instance).start
-    parent.states = {46.0: (False, True, 0.0, 0)}
-    with pytest.MonkeyPatch.context() as patch:
-        advanced = _spy_on_advance(patch)
-        child = exact._child_label(parent, [p1, d2], p3, d4, instance)
-    assert child.states[46.0] is parent.states[46.0]
-    assert all(state[0] for state in advanced)
-    assert child.start == expected < 46.0
+
+
+# ---------------------------------------------------------------------------
+# The label's verdict: a served set is recorded when its label's end state,
+# plus the ride home, fits the duty time.  That is the validator's verdict on
+# the route replayed from the label's start, both ways.
+# ---------------------------------------------------------------------------
+
+def _assert_label_verdicts_are_the_validators(instance):
+    """Every node's label verdict equals the validator's on its replay, and
+    every recorded served set replays to a route that validates.  Returns
+    (refused, accepted) node counts."""
+    nodes, _, _ = _enumerate_with_spies(instance)
+    counts = [0, 0]
+    for label, seq in nodes[1:]:
+        fits = route_end(instance, label.start, label.end[2], seq[-1])[1]
+        assert fits == validate_route(replay_route(instance, label.start, seq), instance).ok, [r.id for r in seq]
+        counts[fits] += 1
+    masks, complete = exact._feasible_route_masks(instance, OracleLimits(max_requests=16), None)
+    assert complete
+    for ids, (start, order) in masks.items():
+        assert ids == {r.id for r in order}
+        assert validate_route(replay_route(instance, start, order), instance).ok
+    return counts
+
+
+def test_the_label_verdict_is_the_validators_on_amat_like():
+    counts = [0, 0]
+    for instance in _small_amat_like():
+        for i, n in enumerate(_assert_label_verdicts_are_the_validators(instance)):
+            counts[i] += n
+    # some prefixes outlast the duty time only with the ride home
+    assert min(counts) > 0, counts
+
+
+def _far_delivery(duty_time):
+    """Pickup 1 at 1 km from the depot, delivery 2 at 10 km; a 4-minute ride
+    or a 2-minute drive per km.  Pickup 1 closes as it opens, at 4, so the
+    route leaves the depot at 0, leaves delivery 2 at 24 and is home at 64."""
+    requests = (
+        Request(id=1, kind=RequestKind.PICKUP, location=1, tw_min=4.0, tw_max=4.0, battery=1.0, revenue=20.0),
+        Request(id=2, kind=RequestKind.DELIVERY, location=2, tw_min=0.0, tw_max=1e4, battery=0.0, revenue=20.0),
+    )
+    pts = (0.0, 1.0, 10.0)
+    return Instance(parameters=Parameters(bike_speed=15.0, ev_speed=30.0, duty_time=duty_time),
+                    requests=requests, distances=tuple(tuple(abs(a - b) for b in pts) for a in pts))
+
+
+@pytest.mark.parametrize("duty_time, served", [(50.0, False), (64.0, True)])
+def test_only_the_ride_home_breaks_the_duty_time(duty_time, served):
+    instance = _far_delivery(duty_time)
+    nodes, _, _ = _enumerate_with_spies(instance)
+    [(label, _)] = nodes[1:]  # the prefix fits either way
+    assert (label.start, label.end[2]) == (0.0, 24.0)
+    assert _assert_label_verdicts_are_the_validators(instance) == [not served, served]
+    assert solve_exact(instance, objective="requests").served == ({1, 2} if served else set())
+
+
+def test_a_packed_route_the_validator_rejects_raises(monkeypatch):
+    instance = single_pair_reference()
+    assert solve_exact(instance).served == {1, 2}
+    # Only a packed route is replayed and validated.
+    checked = []
+    monkeypatch.setattr(exact, "validate_route",
+                        lambda route, inst: checked.append(route) or ValidationResult((Violation("duty"),)))
+    with pytest.raises(RejectedRoute, match="validator rejects"):
+        solve_exact(instance)
+    assert [v.request_id for v in checked[0].visits] == [1, 2] and len(checked) == 1
 
 
 # ---------------------------------------------------------------------------
