@@ -151,7 +151,13 @@ def _load_directory(bench_dir):
     paths = sorted(p for p in bench_dir.glob("*.json") if not p.name.endswith(".solution.json"))
     if not paths:
         raise EvreloError(f"no instance files in {bench_dir}")
-    return [(p.name, load_instance(p)) for p in paths]
+    instances = []
+    for path in paths:
+        try:
+            instances.append((path.name, load_instance(path)))
+        except EvreloError as exc:
+            raise EvreloError(f"{path.name}: {exc}") from exc
+    return instances
 
 
 @cli.command()

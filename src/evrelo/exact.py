@@ -298,6 +298,15 @@ def solve_exact(instance, objective="profit", limits=None):
     packing found.  The packed routes, and only those, are replayed from
     their starts and validated; a route the validator rejects raises
     ``RejectedRoute``.
+
+    Packing is a depth-first search over the paying routes in decreasing
+    value, each held as a bit mask over ``instance.requests``.  A node
+    stops its scan at the first candidate whose headroom cannot reach the
+    incumbent: the smaller of the free slots times the candidate's value
+    and the worth of the free requests that the candidate or a later one
+    serves.  That worth is a running value, summed once per node and
+    lowered, as the scan passes candidate j, by the free requests whose
+    last candidate is j.
     """
     check_objective(objective)
     limits = limits if limits is not None else OracleLimits()
@@ -314,22 +323,29 @@ def solve_exact(instance, objective="profit", limits=None):
 
     # What each request adds to the objective, and what each route costs.
     profit = objective == "profit"
-    worth = {r.id: r.revenue if profit else 1.0 for r in instance.requests}
+    worth = [r.revenue if profit else 1.0 for r in instance.requests]
+    index = {r.id: k for k, r in enumerate(instance.requests)}
     cost = instance.parameters.worker_cost if profit else 0.0
-
-    def pool_value(ids):
-        return sum(worth[i] for i in ids)
 
     candidates = []
     for ids, plan in mask_map.items():
-        value = pool_value(ids) - cost
+        value = sum(worth[index[i]] for i in ids) - cost
         if value <= _TIE_TOL:
             continue  # can never raise the objective; dropping keeps routes minimal
-        candidates.append((value, tuple(sorted(ids)), frozenset(ids), plan))
+        candidates.append((value, tuple(sorted(ids)), sum(1 << index[i] for i in ids), plan))
     candidates.sort(key=lambda c: (-c[0], c[1]))
-    suffix_ids = [frozenset()] * (len(candidates) + 1)
-    for i in range(len(candidates) - 1, -1, -1):
-        suffix_ids[i] = suffix_ids[i + 1] | candidates[i][2]
+    values = [c[0] for c in candidates]
+    masks = [c[2] for c in candidates]
+    # leaving[j]: (bit, worth) of each request whose last candidate is j;
+    # suffix[j]: of each request that candidate j or a later one serves.
+    leaving = [()] * len(candidates)
+    suffix = [()] * (len(candidates) + 1)
+    later = 0
+    for j in range(len(candidates) - 1, -1, -1):
+        last = masks[j] & ~later
+        leaving[j] = tuple((1 << k, w) for k, w in enumerate(worth) if last >> k & 1)
+        suffix[j] = suffix[j + 1] + leaving[j]
+        later |= masks[j]
 
     slots = instance.parameters.worker_count
     best = {"value": 0.0, "routes": 0, "key": (), "picks": ()}
@@ -353,25 +369,30 @@ def solve_exact(instance, objective="profit", limits=None):
             return
         limits.nodes += 1
         consider(value, picks)
-        if len(picks) == slots:
+        room = slots - len(picks)
+        if not room:
             return
+        # The worth of the free requests that candidate j or a later one
+        # serves; each leaves it as j passes its last candidate.
+        pool = sum(w for b, w in suffix[start] if not used & b)
+        floor = best["value"] - _TIE_TOL
         for j in range(start, len(candidates)):
-            cand_value, _, ids, _ = candidates[j]
-            headroom = min(
-                (slots - len(picks)) * cand_value,
-                pool_value(suffix_ids[j] - used),
-            )
-            if value + headroom < best["value"] - _TIE_TOL:
+            # value + min(headroom of the free slots, pool) < floor
+            if value + room * values[j] < floor or value + pool < floor:
                 break
-            if ids & used:
+            for b, w in leaving[j]:
+                if not used & b:
+                    pool -= w
+            if masks[j] & used:
                 continue
             picks.append(j)
-            pack(j + 1, used | ids, value + cand_value, picks)
+            pack(j + 1, used | masks[j], value + values[j], picks)
             picks.pop()
             if not complete:
                 return
+            floor = best["value"] - _TIE_TOL
 
-    pack(0, frozenset(), 0.0, [])
+    pack(0, 0, 0.0, [])
 
     if not best["picks"]:
         solution = empty_solution(instance, optimal=complete)

@@ -38,8 +38,16 @@ FORMAT_VERSION = 1
 _PARAMETER_FIELDS, _REQUEST_FIELDS, _REVENUE_FIELDS = (
     tuple(f.name for f in fields(cls)) for cls in (Parameters, Request, RevenueModel)
 )
-# The request fields read from a file as something other than a number.
-_REQUEST_TYPES = {"id": int, "kind": str, "location": int}
+# The JSON type of each request field, in field order (all but three are
+# numbers): a record whose values have exactly these types needs no
+# ``_field`` conversion.
+_REQUEST_TYPES = tuple({"id": int, "kind": str, "location": int}.get(name, float)
+                       for name in _REQUEST_FIELDS)
+_REQUEST_KINDS = {kind.value: kind for kind in RequestKind}
+_FLOAT_TYPE = {float}
+# Elements of one ``_triangle_violations`` block: a few rows of the n^3 cube
+# per numpy call, with temporaries of 256 KiB each.
+_TRIANGLE_BLOCK = 1 << 15
 
 
 def _field(mapping, name, kinds, where):
@@ -73,11 +81,12 @@ def _read_json(path):
 
 
 def _write_json(document, path):
+    # Encoded in full before the file is opened: a document that fails to
+    # encode leaves an earlier file as it was.
+    text = json.dumps(document, indent=2) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +119,25 @@ def save_instance(instance, path):
 
 def _triangle_violations(d):
     """Messages for every (i, j, k) with d[i][k] > d[i][j] + d[j][k] + EPS,
-    in i, j, k order, for a square float array ``d``; one n-by-n slab per
-    ``i`` keeps memory O(n^2)."""
+    in i, j, k order, for a square float array ``d``.  One numpy call tests
+    a block of rows ``i``, as many as fit ``_TRIANGLE_BLOCK`` elements of
+    the n^3 cube (at least one), so memory stays bounded at any n."""
+    n = len(d)
+    rows = max(1, _TRIANGLE_BLOCK // max(1, n * n))
     bad = []
-    for i in range(len(d)):
-        # Row j, column k of the slab: d[i][j] + d[j][k], summed in the
-        # same order as the scalar expression.
-        broken = d[i][None, :] > (d[i][:, None] + d) + EPS
+    for first in range(0, n, rows):
+        block = d[first:first + rows]
+        # Cell (i, j, k): d[i][j] + d[j][k], summed in the same order as
+        # the scalar expression.
+        bound = block[:, :, None] + d
+        bound += EPS
+        broken = block[:, None, :] > bound
         if not broken.any():
             continue
-        for j, k in np.argwhere(broken).tolist():
+        for i, j, k in np.argwhere(broken).tolist():
             bad.append(
-                f"triangle inequality broken: distances[{i}][{k}] > "
-                f"distances[{i}][{j}] + distances[{j}][{k}]"
+                f"triangle inequality broken: distances[{first + i}][{k}] > "
+                f"distances[{first + i}][{j}] + distances[{j}][{k}]"
             )
     return bad
 
@@ -132,7 +147,9 @@ def _collect_instance_violations(params, requests, distances, revenue_model=None
 
     The rules an instance shares with ``model`` come from there; the
     matrix entries are checked only here, on outside input, since the
-    triangle check alone costs O(n^3).
+    triangle check alone costs O(n^3).  ``requests`` holds a ``Request``
+    per record, which checked its own fields when it was built, or a
+    namespace for a record the constructor refused.
 
     A square matrix becomes one float array, which serves both checks.
     When every entry is finite and non-negative and every diagonal entry is
@@ -158,8 +175,7 @@ def _collect_instance_violations(params, requests, distances, revenue_model=None
         # Only on finite entries: a NaN would fail every comparison.
         if finite:
             bad.extend(_triangle_violations(d))
-    records = [SimpleNamespace(**r) for r in requests]
-    bad += [message for _, message in request_set_violations(records, n)]
+    bad += [message for _, message in request_set_violations(requests, n)]
     if revenue_model is not None:
         bad += revenue_model_violations(SimpleNamespace(**revenue_model))
     return bad
@@ -181,19 +197,26 @@ def load_instance(path):
     raw_requests = _field(doc, "requests", list, "document")
     requests = []
     for i, raw in enumerate(raw_requests):
-        where = f"requests[{i}]"
-        rec = {name: _field(raw, name, _REQUEST_TYPES.get(name, float), where)
-               for name in _REQUEST_FIELDS}
-        if rec["kind"] not in ("pickup", "delivery"):
-            raise ParseError(f"{where}.kind must be 'pickup' or 'delivery'", field="kind")
-        requests.append(rec)
+        values = [raw.get(name) for name in _REQUEST_FIELDS] if type(raw) is dict else ()
+        if tuple(map(type, values)) != _REQUEST_TYPES:
+            values = [_field(raw, name, kinds, f"requests[{i}]")
+                      for name, kinds in zip(_REQUEST_FIELDS, _REQUEST_TYPES)]
+        rec = dict(zip(_REQUEST_FIELDS, values))
+        rec["kind"] = _REQUEST_KINDS.get(rec["kind"])
+        if rec["kind"] is None:
+            raise ParseError(f"requests[{i}].kind must be 'pickup' or 'delivery'", field="kind")
+        try:
+            requests.append(Request(**rec))
+        except ValueError:
+            # Kept as a record, so that every broken rule of it is listed.
+            requests.append(SimpleNamespace(**rec))
 
     raw_distances = _field(doc, "distances", list, "document")
     distances = []
     for i, row in enumerate(raw_distances):
         if not isinstance(row, list):
             raise ParseError(f"distances[{i}] must be a list", field="distances")
-        if all(type(value) is float for value in row):
+        if set(map(type, row)) <= _FLOAT_TYPE:
             distances.append(row)
             continue
         out = []
@@ -217,7 +240,7 @@ def load_instance(path):
 
     return Instance(
         parameters=Parameters(**params),
-        requests=tuple(Request(**{**r, "kind": RequestKind(r["kind"])}) for r in requests),
+        requests=tuple(requests),
         distances=tuple(tuple(row) for row in distances),
         revenue_model=None if revenue_model is None else RevenueModel(**revenue_model),
         provenance=doc.get("provenance"),

@@ -289,6 +289,21 @@ def test_compare_empty_directory_is_input_error(tmp_path, capsys):
     assert "no instance files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["compare"], ["sensitivity", "--sweep", "size"]])
+def test_a_broken_file_in_a_directory_is_named(tmp_path, capsys, command):
+    directory = tmp_path / "amat"
+    assert main(["generate", "--set", "amat", "--count", "3", "--seed", "0",
+                 "--out", str(directory)]) == 0
+    path = directory / "amat_002.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["distances"][1][2] = True
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command[0], str(directory), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: amat_002.json: distances[1][2] must be a number (field 'distances')\n"
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------

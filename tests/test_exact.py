@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,10 @@ from evrelo.model import (
     Parameters,
     Request,
     RequestKind,
+    RevenueModel,
     Solution,
+    assemble_solution,
+    empty_solution,
     objective_value,
 )
 
@@ -841,3 +845,112 @@ def test_a_child_out_of_range_at_every_departure_is_cut_with_its_subtree():
     assert verdicts[(3, 4)] is None
     assert not any(ids[:2] == (3, 4) and len(ids) > 2 for ids in verdicts)
     _assert_verdicts_match_the_scan(instance)
+
+
+# ---------------------------------------------------------------------------
+# Packing.
+# ---------------------------------------------------------------------------
+
+def _frozenset_pack(instance, objective, limits):
+    """``solve_exact`` without a time budget as it was when packing kept
+    each served set as a frozenset and summed the free requests of the
+    suffix for every candidate at every node; the packing is verbatim."""
+    _TIE_TOL = exact._TIE_TOL
+    deadline = None
+    mask_map, complete = exact._feasible_route_masks(instance, limits, deadline)
+
+    # What each request adds to the objective, and what each route costs.
+    profit = objective == "profit"
+    worth = {r.id: r.revenue if profit else 1.0 for r in instance.requests}
+    cost = instance.parameters.worker_cost if profit else 0.0
+
+    def pool_value(ids):
+        return sum(worth[i] for i in ids)
+
+    candidates = []
+    for ids, plan in mask_map.items():
+        value = pool_value(ids) - cost
+        if value <= _TIE_TOL:
+            continue  # can never raise the objective; dropping keeps routes minimal
+        candidates.append((value, tuple(sorted(ids)), frozenset(ids), plan))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    suffix_ids = [frozenset()] * (len(candidates) + 1)
+    for i in range(len(candidates) - 1, -1, -1):
+        suffix_ids[i] = suffix_ids[i + 1] | candidates[i][2]
+
+    slots = instance.parameters.worker_count
+    best = {"value": 0.0, "routes": 0, "key": (), "picks": ()}
+
+    def consider(value, picks):
+        n_routes = len(picks)
+        key = tuple(sorted(i for c in picks for i in candidates[c][1]))
+        incumbent = best["value"]
+        if value > incumbent + _TIE_TOL:
+            pass
+        elif value < incumbent - _TIE_TOL:
+            return
+        elif (n_routes, key) >= (best["routes"], best["key"]):
+            return
+        best.update(value=value, routes=n_routes, key=key, picks=tuple(picks))
+
+    def pack(start, used, value, picks):
+        nonlocal complete
+        if deadline is not None and time.monotonic() > deadline:
+            complete = False
+            return
+        limits.nodes += 1
+        consider(value, picks)
+        if len(picks) == slots:
+            return
+        for j in range(start, len(candidates)):
+            cand_value, _, ids, _ = candidates[j]
+            headroom = min(
+                (slots - len(picks)) * cand_value,
+                pool_value(suffix_ids[j] - used),
+            )
+            if value + headroom < best["value"] - _TIE_TOL:
+                break
+            if ids & used:
+                continue
+            picks.append(j)
+            pack(j + 1, used | ids, value + cand_value, picks)
+            picks.pop()
+            if not complete:
+                return
+
+    pack(0, frozenset(), 0.0, [])
+
+    if not best["picks"]:
+        solution = empty_solution(instance, optimal=complete)
+    else:
+        routes = []
+        for j in best["picks"]:
+            route = replay_route(instance, *candidates[j][3])
+            if not validate_route(route, instance).ok:
+                raise RejectedRoute(f"the validator rejects the packed route serving {candidates[j][1]}")
+            routes.append(route)
+        solution = assemble_solution(routes, instance, optimal=complete)
+    return solution
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 10_000), n_pairs=st.integers(2, 4), workers=st.integers(1, 3),
+       worker_cost=st.sampled_from([0.0, 30.0, 60.0]), fractional=st.booleans(),
+       tight=st.booleans(), objective=st.sampled_from(["profit", "requests"]))
+def test_packing_on_bit_masks_is_the_frozenset_packing(seed, n_pairs, workers, worker_cost,
+                                                       fractional, tight, objective):
+    rng = random.Random(seed)
+    instance = synthetic_instance(rng, n_pairs=n_pairs,
+                                  params=Parameters(worker_count=workers, worker_cost=worker_cost))
+    if tight:
+        instance = tight_windows(instance, rng)
+    # vrc_frc prices a request at rate_per_min * rent + frc, with the rent
+    # drawn from [rent_min, rent_max]; the integer revenues tie more often.
+    model = RevenueModel(kind="vrc_frc")
+    revenue = model.draw if fractional else (lambda g: float(g.randint(1, 4) * 10))
+    instance = dataclasses.replace(instance, revenue_model=model if fractional else None, requests=tuple(
+        dataclasses.replace(r, revenue=revenue(rng)) for r in instance.requests))
+    limits, reference_limits = OracleLimits(), OracleLimits()
+    solution = solve_exact(instance, objective, limits)
+    assert solution == _frozenset_pack(instance, objective, reference_limits)
+    assert limits.nodes == reference_limits.nodes

@@ -2,15 +2,17 @@
 diagnostics, and the CSV layouts."""
 
 import csv
+import dataclasses
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
-from evrelo import model
+from evrelo import io, model
 from evrelo.errors import InvariantViolation, ParseError
 from evrelo.exact import OracleLimits
 from evrelo.feasibility import validate_solution
@@ -76,6 +78,24 @@ def test_solution_round_trip(tmp_path):
     loaded = load_solution(path)
     assert loaded == solution
     assert validate_solution(loaded, inst).ok
+
+
+def test_a_save_that_fails_to_encode_keeps_the_earlier_file(tmp_path):
+    # A numpy integer is no JSON number: the encoder raises, and the file
+    # written before keeps its bytes instead of a prefix of the new one.
+    inst = single_pair_reference()
+    solution = run_ch(inst, objective="requests")
+    unencodable = [
+        (save_instance, inst, dataclasses.replace(inst, provenance={"seed": np.int64(3)})),
+        (save_solution, solution, dataclasses.replace(solution, total_revenue=np.int64(40))),
+    ]
+    for save, document, broken in unencodable:
+        path = tmp_path / f"{save.__name__}.json"
+        save(document, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save(broken, path)
+        assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +369,26 @@ def test_triangle_messages_match_the_scalar_triple_loop():
     assert messages == _triangle_reference(distances)
 
 
+@pytest.mark.parametrize("block", [None, 1, 3 * 50 * 50 - 1])
+def test_triangle_blocks_keep_the_messages_of_the_triple_loop(monkeypatch, block):
+    # 50 rows at 2,500 elements a row make four blocks of the default bound;
+    # a bound below one row tests a row at a time, and the last one makes
+    # blocks of two rows.  Broken triples sit in the first, a middle and the
+    # last row.
+    if block is not None:
+        monkeypatch.setattr(io, "_TRIANGLE_BLOCK", block)
+    n = 50
+    assert io._TRIANGLE_BLOCK // (n * n) < n // 2
+    rng = random.Random(11)
+    points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
+    distances = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in points] for a in points]
+    for i, k, factor in ((0, 7, 2.5), (23, 31, 1.8), (n - 1, 4, 3.0), (n - 1, n - 2, 2.0)):
+        distances[i][k] *= factor
+    messages = io._triangle_violations(np.array(distances))
+    assert any(m.startswith(f"triangle inequality broken: distances[{n - 1}]") for m in messages)
+    assert messages == _triangle_reference(distances)
+
+
 def _matrix_reference(distances):
     """The matrix messages as the plain scalar loops state them."""
     n = len(distances)
@@ -426,9 +466,10 @@ def test_load_reports_the_constructor_message(tmp_path, section, name, value):
     assert loaded.value.violations == [str(built.value)]
 
 
-def test_load_runs_the_request_rules_twice_per_request(tmp_path, monkeypatch):
-    # Once on the file's record, once when its Request is built; the
-    # Instance does not check a Request again.
+def test_load_runs_the_request_rules_once_per_valid_request(tmp_path, monkeypatch):
+    # A valid request is checked once, when its Request is built; the
+    # Instance does not check it again.  A request the constructor refuses
+    # is checked once more, so that every rule it breaks is listed.
     inst = synthetic_instance(random.Random(5))
     path = tmp_path / "inst.json"
     save_instance(inst, path)
@@ -436,7 +477,75 @@ def test_load_runs_the_request_rules_twice_per_request(tmp_path, monkeypatch):
     checked = []
     monkeypatch.setattr(model, "request_violations", lambda r: checked.append(r.id) or rules(r))
     assert load_instance(path) == inst
-    assert sorted(checked) == sorted(2 * [r.id for r in inst.requests])
+    assert sorted(checked) == sorted(r.id for r in inst.requests)
+
+    doc = instance_to_dict(inst)
+    refused = doc["requests"][2]
+    refused["tw_min"], refused["battery"] = refused["tw_max"] + 1.0, 1.5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    checked.clear()
+    with pytest.raises(InvariantViolation) as err:
+        load_instance(path)
+    assert sorted(checked) == sorted([refused["id"], *(r.id for r in inst.requests)])
+    assert err.value.violations == [
+        f"request {refused['id']}: tw_min {refused['tw_min']} exceeds tw_max {refused['tw_max']}",
+        f"request {refused['id']}: battery 1.5 outside [0, 1]",
+    ]
+
+
+_REQUEST_FIELD_KINDS = {"id": "integer", "kind": "kind", "location": "integer", "tw_min": "number",
+                        "tw_max": "number", "battery": "number", "revenue": "number"}
+
+
+def _mistyped_message(name, value):
+    """The ParseError text a request field of the wrong type gives."""
+    kind = _REQUEST_FIELD_KINDS[name]
+    if kind == "kind":
+        return ("requests[1].kind must be 'pickup' or 'delivery'" if isinstance(value, str)
+                else "requests[1].kind has the wrong type")
+    return f"requests[1].{name} must be {'an integer' if kind == 'integer' else 'a number'}"
+
+
+@pytest.mark.parametrize("name", list(_REQUEST_FIELD_KINDS))
+def test_a_mistyped_request_field_is_the_same_parse_error(tmp_path, name):
+    path = tmp_path / "typed.json"
+    for value in (True, "early"):
+        doc = instance_to_dict(single_pair_reference())
+        doc["requests"][1][name] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_instance(path)
+        assert (err.value.args[0], err.value.field) == (_mistyped_message(name, value), name)
+
+    doc = instance_to_dict(single_pair_reference())
+    del doc["requests"][1][name]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_instance(path)
+    assert (err.value.args[0], err.value.field) == ("missing field in requests[1]", name)
+
+
+@pytest.mark.parametrize("record", [[1, 2], "pickup", None, 7])
+def test_a_request_record_that_is_no_object_is_a_parse_error(tmp_path, record):
+    doc = instance_to_dict(single_pair_reference())
+    doc["requests"][1] = record
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_instance(path)
+    assert (err.value.args[0], err.value.field) == ("requests[1] must be an object", "requests[1]")
+
+
+@pytest.mark.parametrize("name", ["tw_min", "tw_max", "battery", "revenue"])
+def test_an_int_in_a_request_float_field_loads_as_a_float(tmp_path, name):
+    inst = single_pair_reference()
+    doc = instance_to_dict(inst)
+    value = {"battery": 1, "revenue": 25}.get(name, int(doc["requests"][0][name]))
+    doc["requests"][0][name] = value
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = getattr(load_instance(path).requests[0], name)
+    assert type(loaded) is float and loaded == value
 
 
 # ---------------------------------------------------------------------------
