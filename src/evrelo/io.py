@@ -1,13 +1,22 @@
 """Instance and solution files.
 
-Versioned UTF-8 JSON documents.  Floats go through the standard JSON
-serializer, whose shortest-round-trip representation makes save/load
-bit-exact.  Loading an instance validates the whole document and reports
-every violated invariant at once, not just the first.
+Versioned UTF-8 JSON documents.  A file holds exactly the text of
+``json.dumps(document, indent=2)`` plus a newline, where the document is
+``instance_to_dict`` or ``solution_to_dict``; floats are written as
+``float.__repr__`` writes them (the shortest text that reads back as the
+same float), which makes save/load bit-exact.  The standard encoder runs its
+pure-Python path whenever it indents, so the writers render that text
+themselves: one scalar formatter writes every number, ``null``, boolean and
+string as ``json`` does.  The distance matrix goes through the C encoder a
+row at a time, and the free-form ``provenance`` through ``json.dumps``.
+
+Loading an instance validates the whole document and reports every violated
+invariant at once, not just the first.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import fields
@@ -16,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError
+from .errors import IndexOutOfRange, InvalidInstance, InvariantViolation, ParseError
 from .model import (
     EPS,
     Instance,
@@ -80,13 +89,68 @@ def _read_json(path):
         raise ParseError(exc.msg, line=exc.lineno) from exc
 
 
-def _write_json(document, path):
-    # Encoded in full before the file is opened: a document that fails to
-    # encode leaves an earlier file as it was.
-    text = json.dumps(document, indent=2) + "\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+# The text of a dict key or a string value; only the schemas' keys and the
+# request and revenue-model kinds reach it, so it holds a few dozen entries.
+_string = functools.cache(json.dumps)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value):
+    """``value`` as ``json.dumps`` writes it: ``null``, ``true``/``false``,
+    a string, ``int.__repr__`` or ``float.__repr__`` with ``NaN`` and
+    ``Infinity``/``-Infinity`` (subclasses of int and float included).
+    Anything else is no JSON scalar: TypeError, as from ``json.dumps``."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is float or isinstance(value, float):
+        # Not repr for a subclass, which may override it.
+        text = repr(value) if kind is float else float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _string(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _block(items, pad, brackets):
+    """Rendered ``items`` laid out between ``brackets`` as
+    ``json.dumps(..., indent=2)`` lays out a container indented by ``pad``."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _text(value, pad=""):
+    """``json.dumps(value, indent=2)`` for dicts with str keys, lists and
+    scalars, nested at indent ``pad``."""
+    kind = type(value)
+    if kind is dict:
+        inner = pad + "  "
+        return _block([f"{_string(k)}: {_text(v, inner)}" for k, v in value.items()], pad, "{}")
+    if kind is list:
+        inner = pad + "  "
+        return _block([_text(v, inner) for v in value], pad, "[]")
+    return _scalar(value)
+
+
+def _write(text, path):
+    """Write ``text`` to ``path``, making its directory only when it is
+    missing.  The caller encodes the whole document first: a document that
+    fails to encode leaves an earlier file as it was."""
+    try:
+        file = open(path, "w", encoding="utf-8")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        file = open(path, "w", encoding="utf-8")
+    with file:
+        file.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +177,32 @@ def instance_to_dict(instance):
     }
 
 
+# Between the entries of a distance row, which sits at depth 2 of the file.
+_ROW_SEPARATORS = (",\n      ", ": ")
+
+
+def _matrix_text(rows):
+    """The distance rows as they sit at depth 1 of the file.  The C encoder
+    writes each row, with the separator that indents its entries; a row of
+    numbers holds no other comma and no newline, so this is exact.  A square
+    matrix has no empty row."""
+    return _block([f"[\n      {json.dumps(row, separators=_ROW_SEPARATORS)[1:-1]}\n    ]"
+                   for row in rows], "  ", "[]")
+
+
 def save_instance(instance, path):
-    _write_json(instance_to_dict(instance), path)
+    fields = []
+    for key, value in instance_to_dict(instance).items():
+        if key == "distances":
+            text = _matrix_text(value)
+        elif key == "provenance":
+            # Free-form: the standard encoder writes it.  A JSON string holds
+            # no raw newline, so re-indenting its text line by line is exact.
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        else:
+            text = _text(value, "  ")
+        fields.append(f"{_string(key)}: {text}")
+    _write(_block(fields, "", "{}") + "\n", path)
 
 
 def _triangle_violations(d):
@@ -142,40 +230,49 @@ def _triangle_violations(d):
     return bad
 
 
+def _entry_violations(distances):
+    """Every broken entry rule of a square matrix, as messages: each entry
+    finite and non-negative, the diagonal zero, the triangle inequality.
+    These are checked only here, on outside input, since the triangle check
+    alone costs O(n^3).
+
+    The matrix becomes one float array, which serves both checks.  When
+    every entry is finite and non-negative and every diagonal entry is
+    within EPS of zero, no entry rule can fire, so the scalar loops are
+    skipped; otherwise they run and name each broken entry in row order."""
+    n = len(distances)
+    bad = []
+    # reshape: an empty matrix would otherwise have shape (0,).
+    d = np.array(distances, dtype=float).reshape(n, n)
+    finite = bool(np.isfinite(d).all())
+    if not (finite and (d >= 0).all() and (np.abs(d.diagonal()) <= EPS).all()):
+        for i in range(n):
+            if abs(distances[i][i]) > EPS:
+                bad.append(f"distances[{i}][{i}] must be zero")
+            for j in range(n):
+                if not math.isfinite(distances[i][j]):
+                    bad.append(f"distances[{i}][{j}] must be finite")
+                elif distances[i][j] < 0:
+                    bad.append(f"distances[{i}][{j}] is negative")
+    # Only on finite entries: a NaN would fail every comparison.
+    if finite:
+        bad.extend(_triangle_violations(d))
+    return bad
+
+
 def _collect_instance_violations(params, requests, distances, revenue_model=None):
     """Every broken semantic invariant of the raw document, as messages.
 
-    The rules an instance shares with ``model`` come from there; the
-    matrix entries are checked only here, on outside input, since the
-    triangle check alone costs O(n^3).  ``requests`` holds a ``Request``
-    per record, which checked its own fields when it was built, or a
-    namespace for a record the constructor refused.
-
-    A square matrix becomes one float array, which serves both checks.
-    When every entry is finite and non-negative and every diagonal entry is
-    within EPS of zero, no entry rule can fire, so the scalar loops are
-    skipped; otherwise they run and name each broken entry in row order."""
+    The rules an instance shares with ``model`` come from there, the entry
+    rules of a square matrix from ``_entry_violations``.  ``requests``
+    holds a ``Request`` per record, which checked its own fields when it
+    was built, or a namespace for a record the constructor refused."""
     bad = parameter_violations(SimpleNamespace(**params))
-    n = len(distances)
     shape = matrix_shape_violations(distances)
     bad += shape
     if not shape:
-        # reshape: an empty matrix would otherwise have shape (0,).
-        d = np.array(distances, dtype=float).reshape(n, n)
-        finite = bool(np.isfinite(d).all())
-        if not (finite and (d >= 0).all() and (np.abs(d.diagonal()) <= EPS).all()):
-            for i in range(n):
-                if abs(distances[i][i]) > EPS:
-                    bad.append(f"distances[{i}][{i}] must be zero")
-                for j in range(n):
-                    if not math.isfinite(distances[i][j]):
-                        bad.append(f"distances[{i}][{j}] must be finite")
-                    elif distances[i][j] < 0:
-                        bad.append(f"distances[{i}][{j}] is negative")
-        # Only on finite entries: a NaN would fail every comparison.
-        if finite:
-            bad.extend(_triangle_violations(d))
-    bad += [message for _, message in request_set_violations(requests, n)]
+        bad += _entry_violations(distances)
+    bad += [message for _, message in request_set_violations(requests, len(distances))]
     if revenue_model is not None:
         bad += revenue_model_violations(SimpleNamespace(**revenue_model))
     return bad
@@ -196,6 +293,7 @@ def load_instance(path):
 
     raw_requests = _field(doc, "requests", list, "document")
     requests = []
+    refused = False
     for i, raw in enumerate(raw_requests):
         values = [raw.get(name) for name in _REQUEST_FIELDS] if type(raw) is dict else ()
         if tuple(map(type, values)) != _REQUEST_TYPES:
@@ -210,6 +308,7 @@ def load_instance(path):
         except ValueError:
             # Kept as a record, so that every broken rule of it is listed.
             requests.append(SimpleNamespace(**rec))
+            refused = True
 
     raw_distances = _field(doc, "distances", list, "document")
     distances = []
@@ -234,17 +333,25 @@ def load_instance(path):
             for name in _REVENUE_FIELDS
         }
 
-    violations = _collect_instance_violations(params, requests, distances, revenue_model)
-    if violations:
-        raise InvariantViolation(violations)
-
-    return Instance(
-        parameters=Parameters(**params),
-        requests=tuple(requests),
-        distances=tuple(tuple(row) for row in distances),
-        revenue_model=None if revenue_model is None else RevenueModel(**revenue_model),
-        provenance=doc.get("provenance"),
-    )
+    # On a clean file the constructors are the only run of the rules an
+    # instance shares with ``model``.  When a request or a constructor is
+    # refused, or an entry rule breaks, every rule runs to list each message.
+    instance = None
+    if not refused:
+        try:
+            instance = Instance(
+                parameters=Parameters(**params),
+                requests=requests,
+                distances=distances,
+                revenue_model=None if revenue_model is None else RevenueModel(**revenue_model),
+                provenance=doc.get("provenance"),
+            )
+        except (ValueError, InvalidInstance, IndexOutOfRange):
+            pass
+    if instance is None or _entry_violations(distances):
+        raise InvariantViolation(
+            _collect_instance_violations(params, requests, distances, revenue_model))
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +388,7 @@ def solution_to_dict(solution):
 
 
 def save_solution(solution, path):
-    _write_json(solution_to_dict(solution), path)
+    _write(_text(solution_to_dict(solution)) + "\n", path)
 
 
 def _finite(mapping, name, where):

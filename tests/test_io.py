@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import single_pair_reference, synthetic_instance
 from evrelo import io, model
@@ -96,6 +96,143 @@ def test_a_save_that_fails_to_encode_keeps_the_earlier_file(tmp_path):
         with pytest.raises(TypeError):
             save(broken, path)
         assert path.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# The writers' bytes are the standard encoder's.
+# ---------------------------------------------------------------------------
+
+class _Float(float):
+    """A float whose own repr is no JSON: ``json`` writes ``float.__repr__``."""
+
+    def __repr__(self):
+        return "_Float()"
+
+
+class _Int(int):
+    """An int whose own repr is no JSON: ``json`` writes ``int.__repr__``."""
+
+    def __repr__(self):
+        return "_Int()"
+
+
+def _and_subclass(values, subclass):
+    return st.one_of(values, values.map(subclass))
+
+
+_ANY_FLOAT = _and_subclass(st.one_of(st.floats(), st.sampled_from([math.nan, math.inf,
+                                                                    -math.inf, -0.0])), _Float)
+_INT = _and_subclass(st.integers(), _Int)
+_VISITS = st.builds(model.ScheduledVisit, request_id=_INT, arrival=_ANY_FLOAT,
+                    waiting=_ANY_FLOAT, ev_charge=st.none() | _ANY_FLOAT)
+_ROUTES = st.builds(model.RouteSchedule, worker=_INT, start_time=_ANY_FLOAT,
+                    visits=st.lists(_VISITS, max_size=3), end_time=_ANY_FLOAT)
+_SOLUTIONS = st.builds(
+    model.Solution, routes=st.lists(_ROUTES, max_size=3),
+    served=st.frozensets(_INT, max_size=4), rejected=st.frozensets(_INT, max_size=4),
+    total_revenue=_ANY_FLOAT, worker_cost=_ANY_FLOAT, profit=_ANY_FLOAT,
+    optimal=st.sampled_from([True, False, None]))
+
+_FINITE = _and_subclass(st.floats(allow_nan=False, allow_infinity=False), _Float)
+_POSITIVE = _and_subclass(st.floats(min_value=1e-3, max_value=1e6), _Float)
+_NON_NEGATIVE = _POSITIVE | st.sampled_from([0.0, -0.0])
+_PROVENANCE = st.none() | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _instances(draw):
+    """An instance of up to 4 locations.  The constructors check no matrix
+    entry, so the matrix holds any JSON number, NaN and infinities too."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = _ANY_FLOAT | _INT | st.booleans() | st.none()
+    distances = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    parameters = Parameters(
+        **{name: draw(_POSITIVE) for name in ("duty_time", "ev_speed", "bike_speed",
+                                               "full_range", "recharge_time")},
+        **{name: draw(_NON_NEGATIVE) for name in ("park_time", "load_time", "worker_cost")},
+        worker_count=draw(_and_subclass(st.integers(min_value=1, max_value=50), _Int)))
+    ids = draw(st.lists(_INT, unique=True, max_size=4 if n > 1 else 0))
+    requests = []
+    for rid in ids:
+        tw_min, tw_max = sorted([draw(_FINITE), draw(_FINITE)])
+        requests.append(Request(
+            id=rid, kind=draw(st.sampled_from(RequestKind)),
+            location=draw(st.integers(min_value=1, max_value=n - 1)),
+            tw_min=tw_min, tw_max=tw_max,
+            battery=draw(_and_subclass(st.floats(min_value=0.0, max_value=1.0), _Float)),
+            revenue=draw(_NON_NEGATIVE)))
+    revenue_model = None
+    if draw(st.booleans()):
+        rent_min, rent_max = sorted([draw(_FINITE), draw(_FINITE)])
+        revenue_model = RevenueModel(
+            kind=draw(st.sampled_from(["flat", "vrc_frc"])), amount=draw(_FINITE),
+            rate_per_min=draw(_FINITE), rent_min=rent_min, rent_max=rent_max,
+            frc=draw(_FINITE))
+    return model.Instance(parameters=parameters, requests=tuple(requests),
+                          distances=distances, revenue_model=revenue_model,
+                          provenance=draw(_PROVENANCE))
+
+
+_EDGE_SOLUTION = model.Solution(
+    routes=(
+        model.RouteSchedule(worker=_Int(0), start_time=-0.0, end_time=math.inf, visits=(
+            model.ScheduledVisit(request_id=1, arrival=math.nan, waiting=_Float(2.5),
+                                 ev_charge=None),
+            model.ScheduledVisit(request_id=_Int(2), arrival=-math.inf, waiting=0.0,
+                                 ev_charge=_Float(math.nan)),
+        )),
+        model.RouteSchedule(worker=1, start_time=0.0, end_time=1e-300, visits=()),
+    ),
+    served=frozenset({1, _Int(2)}), rejected=frozenset(), total_revenue=math.nan,
+    worker_cost=_Float(-math.inf), profit=-0.0, optimal=False)
+
+_EDGE_INSTANCE = dataclasses.replace(
+    single_pair_reference(),
+    distances=((0.0, _Float(5.0), 18), (math.nan, -0.0, math.inf), (-math.inf, _Int(20), 0.0)),
+    provenance={"städte": ["Zürich", {"ø": [1.5, None, True, -0.0]}], "leer": {}, "": []})
+
+
+@given(st.one_of(_SOLUTIONS, _instances()))
+@example(_EDGE_SOLUTION)
+@example(dataclasses.replace(_EDGE_SOLUTION, routes=(), served=frozenset(), optimal=None))
+@example(dataclasses.replace(_EDGE_SOLUTION, optimal=True))
+@example(_EDGE_INSTANCE)
+@example(dataclasses.replace(_EDGE_INSTANCE, requests=(), provenance=None))
+@settings(max_examples=300)
+def test_the_writers_write_the_standard_encoders_bytes(tmp_path_factory, document):
+    if isinstance(document, model.Solution):
+        save, to_dict = save_solution, solution_to_dict
+    else:
+        save, to_dict = save_instance, instance_to_dict
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    save(document, path)
+    assert path.read_bytes() == (json.dumps(to_dict(document), indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("save, document", [
+    (save_instance, single_pair_reference()),
+    (save_solution, run_ch(single_pair_reference(), objective="requests")),
+], ids=["instance", "solution"])
+def test_a_save_makes_a_missing_directory_and_no_other(tmp_path, save, document):
+    path = tmp_path / "a" / "b" / "c.json"
+    save(document, path)
+    written = path.read_bytes()
+    save(document, path)  # the directory is there now
+    assert path.read_bytes() == written
+    to_dict = instance_to_dict if save is save_instance else solution_to_dict
+    assert written == (json.dumps(to_dict(document), indent=2) + "\n").encode("utf-8")
+
+    # A parent that is a regular file, or lies below one, is no directory:
+    # the save fails and the file keeps its bytes.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept", encoding="utf-8")
+    for target in (blocker / "c.json", blocker / "d" / "c.json"):
+        with pytest.raises(OSError):
+            save(document, target)
+    assert blocker.read_text(encoding="utf-8") == "kept"
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +628,35 @@ def test_load_runs_the_request_rules_once_per_valid_request(tmp_path, monkeypatc
         f"request {refused['id']}: tw_min {refused['tw_min']} exceeds tw_max {refused['tw_max']}",
         f"request {refused['id']}: battery 1.5 outside [0, 1]",
     ]
+
+
+_SHARED_RULES = ("parameter_violations", "matrix_shape_violations",
+                 "request_set_violations", "revenue_model_violations")
+
+
+def test_load_runs_each_shared_rule_once_on_a_clean_file(tmp_path, monkeypatch):
+    # The constructors check a clean file; the rules run a second time only
+    # to list every message of a file that breaks one, here an entry rule.
+    (inst,) = make_benchmark("vamat_like", 1, seed=4)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    calls = []
+    for name in _SHARED_RULES:
+        rule = getattr(model, name)
+        counted = (lambda *args, rule=rule, name=name: calls.append(name) or rule(*args))
+        monkeypatch.setattr(model, name, counted)
+        monkeypatch.setattr(io, name, counted)
+    assert load_instance(path) == inst
+    assert sorted(calls) == sorted(_SHARED_RULES)
+
+    doc = instance_to_dict(inst)
+    doc["distances"][1][2] = -1.0
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls.clear()
+    with pytest.raises(InvariantViolation) as err:
+        load_instance(path)
+    assert sorted(calls) == sorted(_SHARED_RULES * 2)
+    assert err.value.violations[0] == "distances[1][2] is negative"
 
 
 _REQUEST_FIELD_KINDS = {"id": "integer", "kind": "kind", "location": "integer", "tw_min": "number",
