@@ -191,7 +191,7 @@ def _matrix_text(rows):
 
 
 def save_instance(instance, path):
-    fields = []
+    members = []
     for key, value in instance_to_dict(instance).items():
         if key == "distances":
             text = _matrix_text(value)
@@ -201,8 +201,8 @@ def save_instance(instance, path):
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         else:
             text = _text(value, "  ")
-        fields.append(f"{_string(key)}: {text}")
-    _write(_block(fields, "", "{}") + "\n", path)
+        members.append(f"{_string(key)}: {text}")
+    _write(_block(members, "", "{}") + "\n", path)
 
 
 def _triangle_violations(d):
