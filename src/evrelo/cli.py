@@ -31,10 +31,6 @@ from .reporting import (
 )
 
 
-class _SolverCheckFailure(Exception):
-    """A solver emitted a solution that fails its own validator."""
-
-
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["csv", "text"]), default="text",
     show_default=True, help="Console output style.",
@@ -47,6 +43,12 @@ _ITERATIONS = click.option(
     help="Most randomized restarts (rh only); rh stops sooner, with the same "
          "result, once its draws can reach no construction it has not built.",
 )
+_SEED = click.option("--seed", type=int, default=0, show_default=True)
+_MAX_REQUESTS = click.option(
+    "--max-requests", "limits", type=click.IntRange(min=0), default=10, show_default=True,
+    callback=lambda ctx, param, value: OracleLimits(max_requests=value),
+    help="Instance size cap of the exact search.",
+)
 
 
 @click.group()
@@ -58,14 +60,13 @@ def cli():
 @click.option("--set", "set_name", type=click.Choice(["amat", "vamat"]), required=True,
               help="Benchmark family to generate.")
 @click.option("--count", type=click.IntRange(min=1), default=30, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SEED
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True,
               help="Directory receiving the instance files.")
 @_FORMAT
 def generate(set_name, count, seed, out, fmt):
     """Write a reproducible benchmark set as JSON instance files."""
     instances = make_benchmark(f"{set_name}_like", count, seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
     lines = []
     for i, instance in enumerate(instances):
         path = out / f"{set_name}_{i + 1:03d}.json"
@@ -87,16 +88,14 @@ def generate(set_name, count, seed, out, fmt):
               show_default=True)
 @_OBJECTIVE
 @_ITERATIONS
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True,
-              help="Instance size cap of the exact search (exact only).")
+@_SEED
+@_MAX_REQUESTS
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="Solution file path [default: next to the instance].")
 @_FORMAT
-def solve(instance_path, algorithm, objective, iterations, seed, max_requests, out, fmt):
+def solve(instance_path, algorithm, objective, iterations, seed, limits, out, fmt):
     """Solve one instance file and write the solution next to it."""
     instance = load_instance(instance_path)
-    limits = OracleLimits(max_requests=max_requests)
     solution, solver_seconds = run_algorithm(
         algorithm, instance, objective, seed=seed, iterations=iterations, limits=limits
     )
@@ -123,7 +122,7 @@ def solve(instance_path, algorithm, objective, iterations, seed, max_requests, o
     if not result.ok:
         for violation in result.violations:
             click.echo(f"validator: {violation}", err=True)
-        raise _SolverCheckFailure(f"{algorithm} produced an invalid solution")
+        raise RejectedRoute(f"{algorithm} produced an invalid solution")
 
 
 @cli.command()
@@ -147,6 +146,14 @@ def validate(instance_path, solution_path):
         click.echo(f"solution {solution_path.name}: OK")
 
 
+def _echo_table(path, fmt, summary):
+    """Echo the CSV table just written to ``path``, or its ``summary`` line."""
+    if fmt == "csv":
+        click.echo(Path(path).read_text(encoding="utf-8"), nl=False)
+    else:
+        click.echo(summary)
+
+
 def _load_directory(bench_dir):
     paths = sorted(p for p in bench_dir.glob("*.json") if not p.name.endswith(".solution.json"))
     if not paths:
@@ -168,12 +175,12 @@ def _load_directory(bench_dir):
 @click.option("--reference", type=click.Choice(list(ALGORITHMS)), default="exact",
               show_default=True)
 @_ITERATIONS
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True)
+@_SEED
+@_MAX_REQUESTS
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="CSV path [default: comparison.csv inside the benchmark dir].")
 @_FORMAT
-def compare(bench_dir, algorithms, objective, reference, iterations, seed, max_requests, out, fmt):
+def compare(bench_dir, algorithms, objective, reference, iterations, seed, limits, out, fmt):
     """Run several algorithms against a reference over a benchmark directory."""
     names = [a.strip() for a in algorithms.split(",") if a.strip()]
     unknown = [a for a in names if a not in ALGORITHMS]
@@ -182,21 +189,15 @@ def compare(bench_dir, algorithms, objective, reference, iterations, seed, max_r
     instances = _load_directory(bench_dir)
     rows, skipped = compare_table(
         instances, names, objective=objective, reference=reference,
-        seed=seed, iterations=iterations, limits=OracleLimits(max_requests=max_requests),
+        seed=seed, iterations=iterations, limits=limits,
     )
     for label, reason in skipped:
         click.echo(f"warning: skipping {label}: {reason}", err=True)
-    if out is None:
-        out = bench_dir / "comparison.csv"
+    out = out or bench_dir / "comparison.csv"
     write_comparison_csv(rows, names, out)
-    if fmt == "csv":
-        click.echo(Path(out).read_text(encoding="utf-8"), nl=False)
-    else:
-        done = len({r.instance for r in rows})
-        click.echo(
-            f"compared {', '.join(names)} against {reference} ({objective}) "
-            f"on {done} instances ({len(skipped)} skipped) -> {out}"
-        )
+    done = len({r.instance for r in rows})
+    _echo_table(out, fmt, f"compared {', '.join(names)} against {reference} ({objective}) "
+                          f"on {done} instances ({len(skipped)} skipped) -> {out}")
 
 
 @cli.command()
@@ -208,16 +209,15 @@ def compare(bench_dir, algorithms, objective, reference, iterations, seed, max_r
               show_default=True)
 @_OBJECTIVE
 @_ITERATIONS
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-requests", type=click.IntRange(min=0), default=10, show_default=True)
+@_SEED
+@_MAX_REQUESTS
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="CSV path [default: sensitivity_<sweep>.csv inside the benchmark dir].")
 @_FORMAT
 def sensitivity(bench_dir, sweep, frc_values, algorithm, objective, iterations, seed,
-                max_requests, out, fmt):
+                limits, out, fmt):
     """Sweep the fixed revenue component, or tabulate results by size."""
     instances = _load_directory(bench_dir)
-    limits = OracleLimits(max_requests=max_requests)
     if sweep == "frc":
         try:
             values = [float(v) for v in frc_values.split(",") if v.strip()]
@@ -241,16 +241,10 @@ def sensitivity(bench_dir, sweep, frc_values, algorithm, objective, iterations, 
             instances, algorithm=algorithm, seed=seed,
             iterations=iterations, limits=limits, objective=objective,
         )
-    if out is None:
-        out = bench_dir / f"sensitivity_{sweep}.csv"
+    out = out or bench_dir / f"sensitivity_{sweep}.csv"
     write_sensitivity_csv(rows, out)
-    if fmt == "csv":
-        click.echo(Path(out).read_text(encoding="utf-8"), nl=False)
-    else:
-        click.echo(
-            f"{sweep} sweep with {algorithm} ({objective}) over {len(instances)} "
-            f"instances: {len(rows)} rows -> {out}"
-        )
+    _echo_table(out, fmt, f"{sweep} sweep with {algorithm} ({objective}) over "
+                          f"{len(instances)} instances: {len(rows)} rows -> {out}")
 
 
 def main(argv=None):
@@ -262,15 +256,10 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
-    except (_SolverCheckFailure, RejectedRoute) as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        return 2
-    except EvreloError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    except (EvreloError, OSError) as exc:
+        internal = isinstance(exc, RejectedRoute)
+        click.echo(f"{'internal error' if internal else 'error'}: {exc}", err=True)
+        return 2 if internal else 1
     return 0
 
 

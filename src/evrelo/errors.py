@@ -67,4 +67,4 @@ class InstanceTooLarge(EvreloError):
 
 
 class RejectedRoute(EvreloError):
-    """A solver built a route that the validator rejects."""
+    """A solver built a route or a solution that the validator rejects."""

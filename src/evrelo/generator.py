@@ -245,34 +245,19 @@ def make_benchmark(set_name, count, seed=0):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    instances = []
-    for i in range(count):
-        child = seed * _SEED_STRIDE + i
-        if set_name == "amat_like":
-            cfg = GeneratorConfig(
-                stations=12,
-                capacity=8,
-                fleet=48,
-                horizon=480.0,
-                demand_rate=0.27,
-                seed=child,
-                revenue_model=RevenueModel(kind="flat", amount=20.0),
-            )
-        elif set_name == "vamat_like":
-            span = i / (count - 1) if count > 1 else 0.5
-            cfg = GeneratorConfig(
-                stations=12,
-                capacity=8,
-                fleet=48,
-                horizon=480.0,
-                demand_rate=0.20 + 0.22 * span,
-                seed=child,
-                revenue_model=RevenueModel(kind="vrc_frc"),
-            )
-        else:
-            raise ValueError(f"unknown benchmark set {set_name!r}")
-        instances.append(generate(cfg))
-    return tuple(instances)
+    if set_name == "amat_like":
+        rates, model = [0.27] * count, RevenueModel(kind="flat", amount=20.0)
+    elif set_name == "vamat_like":
+        spans = [i / (count - 1) if count > 1 else 0.5 for i in range(count)]
+        rates, model = [0.20 + 0.22 * span for span in spans], RevenueModel(kind="vrc_frc")
+    else:
+        raise ValueError(f"unknown benchmark set {set_name!r}")
+    return tuple(
+        generate(GeneratorConfig(stations=12, capacity=8, fleet=48, horizon=480.0,
+                                 demand_rate=rate, seed=seed * _SEED_STRIDE + i,
+                                 revenue_model=model))
+        for i, rate in enumerate(rates)
+    )
 
 
 def small_instances(count, seed=0, revenue_model=None):

@@ -1,9 +1,10 @@
 """Single-route greedy construction.
 
-Routes are grown one visit at a time: from the current position the worker
-commits to the best feasible next request under a selection policy, riding to
-a pickup by bike and driving its EV to a delivery.  Two policies are
-provided: nearest next request, and most urgent (earliest window closing).
+Routes are grown a pickup->delivery pair at a time: from the current
+position the worker rides by bike to the best feasible pickup under a
+selection policy, then drives its EV to the best feasible delivery under the
+same policy.  Two policies are provided: nearest next request, and most
+urgent (earliest window closing).
 """
 
 from __future__ import annotations
@@ -136,12 +137,11 @@ def select_next(position, candidates, policy, instance, delivery_pool=()):
 def run_greedy(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
     """Grow routes one by one until the workers run out or nothing fits.
 
-    Each route starts at the pickup whose opening ride scores best, then
-    alternates deliveries and pickups by the policy.  A committed pickup
-    whose EV cannot be dropped anywhere is rolled back and barred from the
-    current route (it stays available for later routes).  With
-    ``drop_unprofitable`` routes that do not pay for their worker are
-    discarded from the final solution.
+    A route is a chain of pickup->delivery pairs: each step picks a pickup
+    by the policy, then the delivery its EV is dropped at.  A pickup whose
+    EV cannot be dropped anywhere is barred from the current route (it
+    stays available for later routes).  With ``drop_unprofitable`` routes
+    that do not pay for their worker are discarded from the final solution.
     """
     unserved = {r.id: r for r in instance.requests}
     routes = []
@@ -151,33 +151,20 @@ def run_greedy(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
         position = None
         while True:
             deliveries = [r for r in unserved.values() if r.kind is RequestKind.DELIVERY]
-            if position is not None and position.held is not None:
-                held = position.held
-                chosen = select_next(position, deliveries, policy, instance)
-                if chosen is None:
-                    order.pop()
-                    position = position._replace(held=None) if order else None
-                    unserved[held.id] = held
-                    barred.add(held.id)
-                    continue
-                _, departure, _ = propagate(
-                    instance, position.departure, position.location, (held, chosen)
-                )
-                position = Position(chosen.location, departure, position.start_time)
-            else:
-                pickups = [
-                    r
-                    for r in unserved.values()
-                    if r.kind is RequestKind.PICKUP and r.id not in barred
-                ]
-                chosen = select_next(position, pickups, policy, instance, deliveries)
-                if chosen is None:
-                    break
-                if position is None:
-                    position = opening_position(chosen, instance)
-                position = position._replace(held=chosen)
-            order.append(chosen)
-            del unserved[chosen.id]
+            pickups = [r for r in unserved.values()
+                       if r.kind is RequestKind.PICKUP and r.id not in barred]
+            pickup = select_next(position, pickups, policy, instance, deliveries)
+            if pickup is None:
+                break
+            at = opening_position(pickup, instance) if position is None else position
+            delivery = select_next(at._replace(held=pickup), deliveries, policy, instance)
+            if delivery is None:
+                barred.add(pickup.id)
+                continue
+            _, departure, _ = propagate(instance, at.departure, at.location, (pickup, delivery))
+            position = Position(delivery.location, departure, at.start_time)
+            order += (pickup, delivery)
+            del unserved[pickup.id], unserved[delivery.id]
         if not order:
             break
         routes.append(replay_route(instance, position.start_time, order))

@@ -78,15 +78,22 @@ def _field(mapping, name, kinds, where):
     return value
 
 
-def _read_json(path):
+def _read_document(path):
+    """The top-level object of a file, whose ``format_version`` is this one."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("top-level value must be an object")
+    version = _field(doc, "format_version", int, "document")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version}", field="format_version")
+    return doc
 
 
 # The text of a dict key or a string value; only the schemas' keys and the
@@ -279,12 +286,7 @@ def _collect_instance_violations(params, requests, distances, revenue_model=None
 
 
 def load_instance(path):
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("top-level value must be an object")
-    version = _field(doc, "format_version", int, "document")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version}", field="format_version")
+    doc = _read_document(path)
 
     raw_params = _field(doc, "parameters", dict, "document")
     params = {}
@@ -401,12 +403,7 @@ def _finite(mapping, name, where):
 
 
 def load_solution(path):
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("top-level value must be an object")
-    version = _field(doc, "format_version", int, "document")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version}", field="format_version")
+    doc = _read_document(path)
     routes = []
     for i, raw in enumerate(_field(doc, "routes", list, "document")):
         where = f"routes[{i}]"

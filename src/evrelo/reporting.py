@@ -21,19 +21,16 @@ from .insertion import RhConfig, run_ch, run_rh
 from .model import check_objective, objective_value
 
 ALGORITHMS = ("nnh", "muh", "ch", "rh", "exact")
+_GREEDY_POLICIES = {"nnh": GreedyPolicy.NEAREST, "muh": GreedyPolicy.MOST_URGENT}
 
 
 def run_algorithm(name, instance, objective="profit", seed=0, iterations=10000, limits=None):
     """Run one solver and return (solution, wall seconds of the call)."""
     check_objective(objective)
     started = time.perf_counter()
-    if name == "nnh":
+    if name in _GREEDY_POLICIES:
         solution = run_greedy(
-            instance, GreedyPolicy.NEAREST, drop_unprofitable=objective == "profit"
-        )
-    elif name == "muh":
-        solution = run_greedy(
-            instance, GreedyPolicy.MOST_URGENT, drop_unprofitable=objective == "profit"
+            instance, _GREEDY_POLICIES[name], drop_unprofitable=objective == "profit"
         )
     elif name == "ch":
         solution = run_ch(instance, objective=objective)

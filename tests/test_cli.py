@@ -74,6 +74,16 @@ def test_generate_rejects_unknown_set(tmp_path):
     assert main(["generate", "--set", "mystery", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_generate_makes_a_missing_nested_directory(tmp_path):
+    out = tmp_path / "deep" / "er" / "bench"
+    assert main(["generate", "--set", "amat", "--count", "3", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "amat_001.json", "amat_002.json", "amat_003.json"]
+    for path in out.iterdir():
+        assert load_instance(path).requests
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -185,6 +195,15 @@ def test_solve_rejects_unknown_algorithm(instance_file):
 def test_solve_oversized_for_exact_is_input_error(instance_file):
     assert main(["solve", str(instance_file), "--algorithm", "exact",
                  "--max-requests", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", [["solve"], ["compare"], ["sensitivity", "--sweep", "size"]])
+def test_a_negative_max_requests_is_input_error(instance_file, bench_dir, capsys, command):
+    target = instance_file if command[0] == "solve" else bench_dir
+    assert main([command[0], str(target), *command[1:], "--max-requests", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "--max-requests" in err
+    assert "Traceback" not in err
 
 
 def test_solver_invariant_failure_is_exit_two(instance_file, monkeypatch, capsys):

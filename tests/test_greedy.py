@@ -2,11 +2,14 @@
 rollback of pickups whose EV cannot be dropped anywhere, and full runs."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from conftest import single_pair_reference
-from evrelo.feasibility import propagate, schedule_route, validate_solution
+from evrelo import greedy
+from evrelo.feasibility import propagate, replay_route, schedule_route, validate_solution
+from evrelo.generator import make_benchmark, small_instances
 from evrelo.greedy import (
     GreedyPolicy,
     Position,
@@ -15,7 +18,15 @@ from evrelo.greedy import (
     run_greedy,
     select_next,
 )
-from evrelo.model import Instance, Parameters, Request, RequestKind
+from evrelo.io import solution_to_dict
+from evrelo.model import (
+    Instance,
+    Parameters,
+    Request,
+    RequestKind,
+    assemble_solution,
+    paying_routes,
+)
 
 
 def _line_instance(requests, coords, **params):
@@ -168,3 +179,93 @@ def test_run_greedy_deterministic(fork):
     assert run_greedy(inst, GreedyPolicy.NEAREST) == run_greedy(inst, GreedyPolicy.NEAREST)
     assert run_greedy(inst, GreedyPolicy.MOST_URGENT) == run_greedy(
         inst, GreedyPolicy.MOST_URGENT)
+
+
+def _run_greedy_held(instance, policy=GreedyPolicy.NEAREST, drop_unprofitable=False):
+    """``run_greedy`` as it was before it grew a route a pair at a time: a
+    state machine that holds a committed pickup's EV, and pops the pickup
+    back into ``unserved`` when no delivery takes it."""
+    unserved = {r.id: r for r in instance.requests}
+    routes = []
+    while len(routes) < instance.parameters.worker_count:
+        barred = set()
+        order = []
+        position = None
+        while True:
+            deliveries = [r for r in unserved.values() if r.kind is RequestKind.DELIVERY]
+            if position is not None and position.held is not None:
+                held = position.held
+                chosen = select_next(position, deliveries, policy, instance)
+                if chosen is None:
+                    order.pop()
+                    position = position._replace(held=None) if order else None
+                    unserved[held.id] = held
+                    barred.add(held.id)
+                    continue
+                _, departure, _ = propagate(
+                    instance, position.departure, position.location, (held, chosen)
+                )
+                position = Position(chosen.location, departure, position.start_time)
+            else:
+                pickups = [
+                    r
+                    for r in unserved.values()
+                    if r.kind is RequestKind.PICKUP and r.id not in barred
+                ]
+                chosen = select_next(position, pickups, policy, instance, deliveries)
+                if chosen is None:
+                    break
+                if position is None:
+                    position = opening_position(chosen, instance)
+                position = position._replace(held=chosen)
+            order.append(chosen)
+            del unserved[chosen.id]
+        if not order:
+            break
+        routes.append(replay_route(instance, position.start_time, order))
+    if drop_unprofitable:
+        routes = paying_routes(routes, instance)
+    return assemble_solution(routes, instance)
+
+
+def test_pair_loop_equals_the_held_ev_loop(monkeypatch):
+    # Both loops call select_next through their own module's name, so one
+    # counting wrapper sees every call of either.  A bar is a delivery
+    # choice, made with a pickup held, that finds nothing.
+    calls = []
+    bars = []
+    inner = select_next
+
+    def counting(position, candidates, *args, **kwargs):
+        chosen = inner(position, candidates, *args, **kwargs)
+        calls[-1] += 1
+        if chosen is None and position is not None and position.held is not None:
+            bars[-1] += 1
+        return chosen
+
+    monkeypatch.setattr(greedy, "select_next", counting)
+    monkeypatch.setattr(sys.modules[__name__], "select_next", counting)
+    instances = [
+        instance
+        for seed in (0, 1)
+        for instance in (*small_instances(100, seed=seed),
+                         *make_benchmark("amat_like", 30, seed=seed),
+                         *make_benchmark("vamat_like", 30, seed=seed))
+    ]
+    runs = 0
+    for instance in instances:
+        for policy in GreedyPolicy:
+            for drop_unprofitable in (False, True):
+                documents = []
+                for solver in (run_greedy, _run_greedy_held):
+                    calls.append(0)
+                    bars.append(0)
+                    documents.append(solution_to_dict(solver(instance, policy, drop_unprofitable)))
+                assert documents[0] == documents[1]
+                assert calls[-2] == calls[-1]
+                assert bars[-2] == bars[-1]
+                runs += 1
+    assert runs == 1280
+    # The rollback path runs: at set seeds 0 and 1 the 640 constructions
+    # (one per instance and policy) bar 1,527 pickups.
+    assert sum(bars[::4]) == 1527
