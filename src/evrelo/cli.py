@@ -41,7 +41,9 @@ _OBJECTIVE = click.option(
 _ITERATIONS = click.option(
     "--iterations", type=click.IntRange(min=1), default=10000, show_default=True,
     help="Most randomized restarts (rh only); rh stops sooner, with the same "
-         "result, once its draws can reach no construction it has not built.",
+         "result, once its draws can reach no construction it has not built, "
+         "or once its best reaches the bound of a maximum matching of "
+         "compatible pairs (twice its size under requests).",
 )
 _SEED = click.option("--seed", type=int, default=0, show_default=True)
 _MAX_REQUESTS = click.option(

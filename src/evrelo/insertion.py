@@ -121,32 +121,35 @@ def preprocess(instance, partners):
     the scores of the survivors, hence the loop; on exit the two sides have
     equal size and every retained request scores non-negative against the
     retained opposite side.  ``partners`` is ``compatible_partners(instance)``.
+    A score depends only on the request's retained partners, so after a
+    round only the retained partners of the requests it removed are scored
+    again.
 
     Returns (retained, rejected) as tuples of requests in id order.
     """
     retained = {r.id: r for r in instance.requests}
     rejected = []
+
+    def score(r):
+        return critical_factor(r, [p for p in partners[r.id] if p.id in retained], instance)
+
+    scores = {r.id: score(r) for r in instance.requests}
     while True:
-        current = list(retained.values())
-        scores = {
-            r.id: critical_factor(r, [p for p in partners[r.id] if p.id in retained], instance)
-            for r in current
-        }
-        doomed = [r for r in current if scores[r.id] < 0]
-        if doomed:
-            for r in doomed:
-                del retained[r.id]
-                rejected.append(r)
-            continue
-        pickups = sorted((r for r in current if r.kind is RequestKind.PICKUP), key=lambda r: (scores[r.id], r.id))
-        deliveries = sorted((r for r in current if r.kind is RequestKind.DELIVERY), key=lambda r: (scores[r.id], r.id))
-        surplus = len(pickups) - len(deliveries)
-        if surplus == 0:
-            break
-        victims = pickups[:surplus] if surplus > 0 else deliveries[:-surplus]
-        for r in victims:
+        removed = [r for r in retained.values() if scores[r.id] < 0]
+        if not removed:
+            pickups = sorted((r for r in retained.values() if r.kind is RequestKind.PICKUP),
+                             key=lambda r: (scores[r.id], r.id))
+            deliveries = sorted((r for r in retained.values() if r.kind is RequestKind.DELIVERY),
+                                key=lambda r: (scores[r.id], r.id))
+            surplus = len(pickups) - len(deliveries)
+            if surplus == 0:
+                break
+            removed = pickups[:surplus] if surplus > 0 else deliveries[:-surplus]
+        for r in removed:
             del retained[r.id]
             rejected.append(r)
+        for rid in {p.id for r in removed for p in partners[r.id] if p.id in retained}:
+            scores[rid] = score(retained[rid])
     retained_t = tuple(sorted(retained.values(), key=lambda r: r.id))
     rejected_t = tuple(sorted(rejected, key=lambda r: r.id))
     return retained_t, rejected_t
@@ -628,22 +631,66 @@ def _uniform_draw(seed):
     return lambda left, state: left[rng.randrange(len(left))]
 
 
-def _unbeatable(solution, objective, candidates):
-    """Whether no walk from a root whose unserved map is ``candidates``
-    can beat ``solution``: ``_best_of_walks``'s bound stop."""
-    requests = candidates.values()
+def _matching_size(candidates, partners):
+    """Size of a maximum matching of compatible pairs among ``candidates``
+    (an id -> request map).  Each pickup takes its first free partner if
+    it has one, which leaves few to search; every pickup left then
+    searches once for an augmenting path, walked with an explicit stack,
+    so no input size can exhaust the recursion limit."""
+    owner = {}  # delivery id -> the pickup id it is matched with
+    left = []
+    for rid, request in candidates.items():
+        if request.kind is RequestKind.PICKUP:
+            for d in partners[rid]:
+                if d.id in candidates and d.id not in owner:
+                    owner[d.id] = rid
+                    break
+            else:
+                left.append(rid)
+    for rid in left:
+        seen = set()
+        path, taken = [(rid, iter(partners[rid]))], []
+        while path:
+            d = next((d for d in path[-1][1] if d.id in candidates and d.id not in seen), None)
+            if d is None:
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
+            seen.add(d.id)
+            taken.append(d.id)
+            holder = owner.get(d.id)
+            if holder is None:
+                for (pid, _), did in zip(path, taken):
+                    owner[did] = pid
+                break
+            path.append((holder, iter(partners[holder])))
+    return len(owner)
+
+
+def _walk_bound(graph, objective):
+    """A value no walk of ``graph`` can exceed under ``objective``, or
+    infinity: ``_best_of_walks``'s bound stop.  Revenues that give no
+    bound are found before the matching is sized."""
+    candidates = graph.root.unserved
     if objective == "requests":
-        pickups = sum(r.kind is RequestKind.PICKUP for r in requests)
-        return len(solution.served) >= 2 * min(pickups, len(candidates) - pickups)
-    return (solution.profit >= 0 and len(solution.routes) == 1
-            and len(solution.served) == len(candidates)
-            and all(float(r.revenue).is_integer() for r in requests)
-            and sum(r.revenue for r in requests) < 2 ** 53)
+        return 2 * _matching_size(candidates, graph.partners)
+    pickups, deliveries = [], []
+    for r in candidates.values():
+        (pickups if r.kind is RequestKind.PICKUP else deliveries).append(float(r.revenue))
+    revenues = pickups + deliveries
+    if not all(map(float.is_integer, revenues)) or sum(revenues) >= 2 ** 53:
+        return float("inf")
+    pairs = _matching_size(candidates, graph.partners)
+    pickups.sort(reverse=True)
+    deliveries.sort(reverse=True)
+    top = sum(pickups[:pairs]) + sum(deliveries[:pairs])
+    return max(0.0, top - graph.instance.parameters.worker_cost)
 
 
-def _best_of_walks(instance, objective, pickers):
-    """The best solution of the walks of one ``_Graph``, one per picker of
-    ``pickers(graph)``, earlier walks keeping ties.
+def _best_of_walks(instance, objective, walks, picker):
+    """The best solution of at most ``walks`` walks of one ``_Graph``, walk
+    i with the picker ``picker(graph, i)``, earlier walks keeping ties.
 
     Screens the partners and preprocesses once.  Only a walk that ends in
     a finished state not made before is scored: under the earliest-wins
@@ -653,27 +700,38 @@ def _best_of_walks(instance, objective, pickers):
 
     - Exhaustion: once every candidate of every held state has been tried
       and the cap refused no state, every later walk would repeat.
-    - The bound: once a new best passes ``_unbeatable``, no later walk can
-      score ``value > best_value``.  Every served request is one of the
-      root's candidates.  Under the requests objective a served set
-      balances, so no value exceeds twice the smaller side of the
-      candidates; the values are integers, so the test is exact.  Under the
-      profit objective the test is one route serving every candidate at a
-      value >= 0, with integer candidate revenues of total below 2**53.
-      Every sum of those revenues is exact, in any order, so a solution of
-      k >= 1 routes serving S has the profit fl(R_S - fl(c*k)) <= fl(R - c)
-      by monotone rounding (the worker cost c >= 0), and fl(R - c) is the
-      best's own profit; the empty solution's 0 is no more.  Other
-      revenues, fractional ones included, never stop the loop early.
+    - The bound: a walk after the first starts only while the best is
+      below ``_walk_bound``, since no walk can score ``value > bound``.
+      The bound is computed at the first such test, so a single walk (CH)
+      or a graph exhausted by its first walk never pays for it.  Every
+      served request is one of the root's candidates, and every pair a
+      walk places is a compatible pickup and delivery, so a served set is
+      a matching of compatible pairs among the candidates, of at most
+      nu pairs, nu the size of a maximum one.  Under the requests
+      objective the bound is 2 * nu; the values are integers, so the test
+      is exact.  Under the profit objective it is max(0, fl(W - c)), W
+      being the sum of the nu largest pickup revenues and the nu largest
+      delivery revenues of the candidates, c the worker cost, and only
+      with integer candidate revenues of total below 2**53.  Every sum of
+      those revenues is exact, in any order, and revenues are >= 0, so a
+      solution of k >= 1 routes serving S has the profit
+      fl(R_S - fl(c*k)) <= fl(W - c) by monotone rounding (fl(c*k) >= c
+      for c >= 0); the empty solution's 0 is no more.  Other revenues,
+      fractional ones included, give no bound.
     """
     check_objective(objective)
     partners = compatible_partners(instance)
     retained, _ = preprocess(instance, partners)
     graph = _Graph(instance, retained, partners)
-    best = best_value = None
-    for choose in pickers(graph):
+    best = best_value = bound = None
+    for i in range(walks):
+        if i:
+            if bound is None:
+                bound = _walk_bound(graph, objective)
+            if best_value >= bound:
+                break
         ends = graph.ends
-        routes, _ = _construct(graph, choose)
+        routes, _ = _construct(graph, picker(graph, i))
         if graph.ends > ends:
             if objective == "profit":
                 routes = paying_routes(routes, instance)
@@ -681,8 +739,6 @@ def _best_of_walks(instance, objective, pickers):
             value = objective_value(solution, objective)
             if best is None or value > best_value:
                 best, best_value = solution, value
-                if _unbeatable(best, objective, graph.root.unserved):
-                    break
         if not graph.open and not graph.refused:
             break
     return best
@@ -697,7 +753,7 @@ def run_ch(instance, objective="profit"):
     are given up.  With the profit objective, routes that do not pay for
     their worker are discarded at the end.
     """
-    return _best_of_walks(instance, objective, lambda graph: [_urgency_order(graph)])
+    return _best_of_walks(instance, objective, 1, lambda graph, i: _urgency_order(graph))
 
 
 def run_rh(instance, config=None):
@@ -714,5 +770,5 @@ def run_rh(instance, config=None):
     best reaches a value no later iteration can beat (``_best_of_walks``).
     """
     config = config or RhConfig()
-    return _best_of_walks(instance, config.objective, lambda graph: (
-        _uniform_draw(config.seed * 1_000_003 + i) for i in range(config.iterations)))
+    return _best_of_walks(instance, config.objective, config.iterations,
+                          lambda graph, i: _uniform_draw(config.seed * 1_000_003 + i))

@@ -2,6 +2,7 @@
 insertion simulation, and the two insertion-based construction drivers."""
 
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -239,6 +240,48 @@ def test_preprocess_purges_uncoupled_then_rebalances():
     retained, rejected = preprocess(inst, compatible_partners(inst))
     assert [r.id for r in rejected] == [5, 6]
     assert [r.id for r in retained] == [1, 2, 3, 4]
+
+
+def _preprocess_full_rescore(instance, partners):
+    """``preprocess`` as it was before it re-scored only the partners of
+    removed requests: every round scores every retained request."""
+    retained = {r.id: r for r in instance.requests}
+    rejected = []
+    while True:
+        current = list(retained.values())
+        scores = {
+            r.id: critical_factor(r, [p for p in partners[r.id] if p.id in retained], instance)
+            for r in current
+        }
+        doomed = [r for r in current if scores[r.id] < 0]
+        if doomed:
+            for r in doomed:
+                del retained[r.id]
+                rejected.append(r)
+            continue
+        pickups = sorted((r for r in current if r.kind is RequestKind.PICKUP), key=lambda r: (scores[r.id], r.id))
+        deliveries = sorted((r for r in current if r.kind is RequestKind.DELIVERY), key=lambda r: (scores[r.id], r.id))
+        surplus = len(pickups) - len(deliveries)
+        if surplus == 0:
+            break
+        victims = pickups[:surplus] if surplus > 0 else deliveries[:-surplus]
+        for r in victims:
+            del retained[r.id]
+            rejected.append(r)
+    return (tuple(sorted(retained.values(), key=lambda r: r.id)),
+            tuple(sorted(rejected, key=lambda r: r.id)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_preprocess_equals_scoring_every_request_each_round(seed):
+    rejected = 0
+    for instance in (*small_instances(100, seed=seed), *make_benchmark("amat_like", 30, seed=seed),
+                     *make_benchmark("vamat_like", 30, seed=seed)):
+        partners = compatible_partners(instance)
+        got = preprocess(instance, partners)
+        assert got == _preprocess_full_rescore(instance, partners)
+        rejected += len(got[1])
+    assert rejected > 0
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +620,49 @@ def _rh_reference(instance, config, retained=None):
     return best[1]
 
 
-def _meets_the_bound(instance, retained, objective, solution):
-    """Whether no RH iteration over ``retained`` can beat ``solution``
-    under ``objective``, by the bound RH stops at.
+def _brute_force_matching(root, partners):
+    """Size of a maximum matching of compatible pairs among ``root``: the
+    largest k for which some k pickups take k distinct deliveries, each a
+    partner, tried over every injective assignment."""
+    pickups = [r for r in root if r.kind is RequestKind.PICKUP]
+    deliveries = [r for r in root if r.kind is RequestKind.DELIVERY]
+    compatible = {(p.id, d.id) for p in pickups for d in partners[p.id]}
+    for k in range(min(len(pickups), len(deliveries)), 0, -1):
+        for chosen in itertools.combinations(pickups, k):
+            for assigned in itertools.permutations(deliveries, k):
+                if all((p.id, d.id) in compatible for p, d in zip(chosen, assigned)):
+                    return k
+    return 0
 
-    Only a retained request with a retained partner is ever served.  Under
-    the requests objective a served set has as many pickups as deliveries.
-    Under the profit objective the test asks for one route serving every
-    such request at a profit >= 0, and for integer revenues of total below
-    2**53, whose sums are exact in floats."""
+
+def _matching_bound(instance, retained, objective, integer_only=True):
+    """(nu, bound) of the RH iterations over ``retained`` under
+    ``objective``: nu the size of a maximum matching of compatible pairs
+    among the root's requests, the retained ones with a retained partner.
+    A served set is such a matching.  Under the requests objective the
+    bound is 2 * nu.  Under the profit objective it is max(0, W - cost), W
+    the nu largest pickup revenues plus the nu largest delivery revenues;
+    with ``integer_only`` it holds only for integer revenues of total below
+    2**53, whose sums are exact in floats, and is infinite otherwise."""
     partners = compatible_partners(instance)
     ids = {r.id for r in retained}
     root = [r for r in retained if any(p.id in ids for p in partners[r.id])]
+    nu = _brute_force_matching(root, partners)
     if objective == "requests":
-        pickups = sum(r.kind is RequestKind.PICKUP for r in root)
-        return len(solution.served) == 2 * min(pickups, len(root) - pickups)
+        return nu, 2 * nu
     revenues = [r.revenue for r in root]
-    return (all(v == math.floor(v) for v in revenues) and sum(revenues) < 2 ** 53
-            and solution.profit >= 0 and len(solution.routes) == 1
-            and solution.served == {r.id for r in root})
+    if integer_only and not (all(v == math.floor(v) for v in revenues) and sum(revenues) < 2 ** 53):
+        return nu, math.inf
+    top = sum(sum(sorted((r.revenue for r in root if r.kind is kind), reverse=True)[:nu])
+              for kind in RequestKind)
+    return nu, max(0.0, top - instance.parameters.worker_cost)
+
+
+def _meets_the_bound(instance, retained, objective, solution):
+    """Whether no RH iteration over ``retained`` can beat ``solution``
+    under ``objective``, by the bound RH stops at (``_matching_bound``)."""
+    value = solution.profit if objective == "profit" else len(solution.served)
+    return value >= _matching_bound(instance, retained, objective)[1]
 
 
 def _rh_stop(instance, config, retained=None, exhaustion=True, bound=True):
@@ -853,8 +920,8 @@ def test_rh_stops_once_every_draw_is_taken(monkeypatch):
 # iterations: where each solve stops once its draws can reach nothing new
 # or its best meets the bound (``_rh_stop``).
 RH_CONTRACT_STOPS = (
-    1, 1, 1, 1, 88, 148, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1,
-    1, 1, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 2, 7, 1, 1, 10, 27, 1, 1,
+    1, 1, 1, 1, 88, 148, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10, 27, 1, 1,
     1, 1, 1, 1, 26, 30, 26, 30, 15, 38, 15, 38, 130, 100, 2, 2,
 )
 
@@ -909,8 +976,8 @@ def test_a_node_the_cap_refuses_keeps_the_graph_open(monkeypatch):
     # placement (2 + 4 * 2) are held, a cap of 38 leaves no room for a state
     # after a close (3 + 4 * 2), so RH runs every iteration up to the bound.
     # Every construction serves both pairs in two routes: the first meets
-    # the requests bound, and none can meet the profit bound, which asks
-    # for one route.
+    # the requests bound, and none can meet the profit bound, which charges
+    # one worker.
     inst = _line(
         [_pickup(1, 1, (0.0, 500.0)), _delivery(2, 2, (0.0, 500.0)),
          _pickup(3, 3, (0.0, 500.0)), _delivery(4, 4, (0.0, 500.0))],
@@ -1107,6 +1174,97 @@ def test_only_exactly_summed_revenues_stop_rh_at_the_bound(revenue, bound, monke
     exhausted = _rh_stop(instance, config, bound=False)
     assert exhausted == 7
     assert len(walks) == (1 if bound else exhausted)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.sampled_from(sorted(_REVENUES)),
+       st.sampled_from([0.0, 30.0, 1_000.0]), st.sampled_from([1, 2]))
+@settings(max_examples=100)
+def test_no_rh_iteration_exceeds_the_matching_bound(
+        seed, pickups, deliveries, revenue, worker_cost, workers):
+    # Up to eight requests on a line, about half of the windows narrowed.
+    # Every request with a partner is kept, so the root's sides can differ
+    # in size, and a request can have several partners.
+    rng = random.Random(seed)
+    kinds = [_pickup] * pickups + [_delivery] * deliveries
+    requests = []
+    for i, make in enumerate(kinds, start=1):
+        lo = rng.uniform(0.0, 200.0)
+        requests.append(dataclasses.replace(make(i, i, (lo, lo + rng.uniform(30.0, 300.0))),
+                                            revenue=_REVENUES[revenue](rng)))
+    instance = tight_windows(_line(
+        requests, [rng.uniform(-15.0, 15.0) for _ in kinds], worker_cost=worker_cost,
+        worker_count=workers, duty_time=rng.choice([120.0, 240.0, 480.0])), rng)
+    partners = compatible_partners(instance)
+    retained = tuple(r for r in instance.requests if partners[r.id])
+    graph = _Graph(instance, retained, partners)
+    nu, _ = _matching_bound(instance, retained, "requests")
+    assert insertion._matching_size(graph.root.unserved, partners) == nu
+    for objective in ("profit", "requests"):
+        bound = insertion._walk_bound(graph, objective)
+        assert bound == _matching_bound(instance, retained, objective)[1]
+        # The matching bounds fractional revenues too, up to rounding; only
+        # the exactness of integer sums lets RH stop at it.
+        loose = _matching_bound(instance, retained, objective, integer_only=False)[1]
+        config = RhConfig(iterations=30, seed=seed, objective=objective)
+        for value, _, _ in _rh_every_iteration(instance, config, retained):
+            assert value <= bound and value <= loose + 1e-9
+
+
+def test_the_bound_is_computed_only_to_start_a_second_walk(monkeypatch):
+    # CH makes one walk, and so does an RH solve of one iteration or whose
+    # first walk exhausts the graph: none computes the bound.  Every other
+    # RH solve computes it once, before its second walk.
+    calls, exhausted = [], []
+    walk_bound, construct = insertion._walk_bound, insertion._construct
+    monkeypatch.setattr(insertion, "_walk_bound", lambda *args: calls.append(args) or walk_bound(*args))
+
+    def counted(graph, choose):
+        routes = construct(graph, choose)
+        exhausted.append(not graph.open and not graph.refused)
+        return routes
+
+    monkeypatch.setattr(insertion, "_construct", counted)
+    firsts = set()
+    for instance in RH_CONTRACT_FLEET:
+        for objective in ("profit", "requests"):
+            calls.clear()
+            run_ch(instance, objective)
+            run_rh(instance, RhConfig(iterations=1, seed=0, objective=objective))
+            assert calls == []
+            exhausted.clear()
+            run_rh(instance, RhConfig(iterations=200, seed=0, objective=objective))
+            assert len(calls) == (not exhausted[0])
+            firsts.add(exhausted[0])
+    assert firsts == {True, False}
+
+
+def _unit(kind, id):
+    return Request(id=id, kind=kind, location=0, tw_min=0.0, tw_max=1.0, battery=0.5, revenue=1.0)
+
+
+def _matched(edges):
+    """``_matching_size`` over the requests of ``edges``, (pickup,
+    delivery) pairs, each request's partners in the order its pairs come."""
+    partners, candidates = {}, {}
+    for pair in edges:
+        for request, partner in (pair, pair[::-1]):
+            candidates[request.id] = request
+            partners.setdefault(request.id, []).append(partner)
+    return insertion._matching_size(candidates, partners)
+
+
+def test_two_thousand_requests_are_matched_without_recursion():
+    # A star: 1,999 pickups share one delivery.
+    hub = _unit(RequestKind.DELIVERY, 0)
+    assert _matched([(_unit(RequestKind.PICKUP, i), hub) for i in range(1, 2000)]) == 1
+    # A chain: pickup j takes delivery j, then the last pickup, whose one
+    # partner is delivery 1, shifts all 999 others along a path of 1,999
+    # edges, deeper than the default recursion limit.
+    pickups = [_unit(RequestKind.PICKUP, 2 * j + 1) for j in range(1000)]
+    deliveries = [_unit(RequestKind.DELIVERY, 2 * j + 2) for j in range(1000)]
+    chain = [(p, d) for j, p in enumerate(pickups[:-1]) for d in deliveries[j:j + 2]]
+    assert _matched(chain + [(pickups[-1], deliveries[0])]) == 1000
 
 
 # ---------------------------------------------------------------------------
