@@ -36,13 +36,7 @@ from dataclasses import dataclass, field, replace
 from .errors import InstanceTooLarge, RejectedRoute
 from .feasibility import propagate, replay_route, route_end, route_start, validate_route
 from .insertion import run_ch
-from .model import (
-    EPS,
-    assemble_solution,
-    check_objective,
-    empty_solution,
-    objective_value,
-)
+from .model import EPS, assemble_solution, check_objective, objective_value
 
 _TIE_TOL = 1e-9
 
@@ -69,8 +63,11 @@ class OracleLimits:
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
             raise ValueError(f"max_requests must be an integer >= 0, got {cap!r}")
         # Written so that NaN fails: a NaN deadline would never be reached.
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError(f"time_budget must be None or a number >= 0, got {self.time_budget!r}")
+        # A bool is no number of seconds, though True would run as one.
+        budget = self.time_budget
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                                   or not budget >= 0):
+            raise ValueError(f"time_budget must be None or a number >= 0, got {budget!r}")
 
 
 def _advance(state, requests, instance):
@@ -348,34 +345,27 @@ def solve_exact(instance, objective="profit", limits=None):
         later |= masks[j]
 
     slots = instance.parameters.worker_count
-    best = {"value": 0.0, "routes": 0, "key": (), "picks": ()}
-
-    def consider(value, picks):
-        n_routes = len(picks)
-        key = tuple(sorted(i for c in picks for i in candidates[c][1]))
-        incumbent = best["value"]
-        if value > incumbent + _TIE_TOL:
-            pass
-        elif value < incumbent - _TIE_TOL:
-            return
-        elif (n_routes, key) >= (best["routes"], best["key"]):
-            return
-        best.update(value=value, routes=n_routes, key=key, picks=tuple(picks))
+    # The incumbent: its value, its rank (routes, sorted served ids), which
+    # breaks ties within _TIE_TOL toward the lower, and its picks.
+    best_value, best_rank, best_picks = 0.0, (0, ()), ()
 
     def pack(start, used, value, picks):
-        nonlocal complete
+        nonlocal complete, best_value, best_rank, best_picks
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
         limits.nodes += 1
-        consider(value, picks)
+        if value >= best_value - _TIE_TOL:
+            rank = (len(picks), tuple(sorted(i for c in picks for i in candidates[c][1])))
+            if value > best_value + _TIE_TOL or rank < best_rank:
+                best_value, best_rank, best_picks = value, rank, tuple(picks)
         room = slots - len(picks)
         if not room:
             return
         # The worth of the free requests that candidate j or a later one
         # serves; each leaves it as j passes its last candidate.
         pool = sum(w for b, w in suffix[start] if not used & b)
-        floor = best["value"] - _TIE_TOL
+        floor = best_value - _TIE_TOL
         for j in range(start, len(candidates)):
             # value + min(headroom of the free slots, pool) < floor
             if value + room * values[j] < floor or value + pool < floor:
@@ -390,20 +380,17 @@ def solve_exact(instance, objective="profit", limits=None):
             picks.pop()
             if not complete:
                 return
-            floor = best["value"] - _TIE_TOL
+            floor = best_value - _TIE_TOL
 
     pack(0, 0, 0.0, [])
 
-    if not best["picks"]:
-        solution = empty_solution(instance, optimal=complete)
-    else:
-        routes = []
-        for j in best["picks"]:
-            route = replay_route(instance, *candidates[j][3])
-            if not validate_route(route, instance).ok:
-                raise RejectedRoute(f"the validator rejects the packed route serving {candidates[j][1]}")
-            routes.append(route)
-        solution = assemble_solution(routes, instance, optimal=complete)
+    routes = []
+    for j in best_picks:
+        route = replay_route(instance, *candidates[j][3])
+        if not validate_route(route, instance).ok:
+            raise RejectedRoute(f"the validator rejects the packed route serving {candidates[j][1]}")
+        routes.append(route)
+    solution = assemble_solution(routes, instance, optimal=complete)
     if not complete and (objective_value(incumbent, objective)
                          > objective_value(solution, objective) + _TIE_TOL):
         return replace(incumbent, optimal=False)

@@ -317,10 +317,22 @@ def validate_solution(solution, instance):
     problems = []
     par = instance.parameters
     seen = {}
+    workers = {}
     for ridx, route in enumerate(solution.routes):
         result = validate_route(route, instance)
         for v in result.violations:
             problems.append(Violation(v.code, v.detail, route=ridx, visit=v.visit))
+        worker = route.worker
+        if isinstance(worker, bool) or not isinstance(worker, int) or not 0 <= worker < par.worker_count:
+            problems.append(
+                Violation("worker_id", f"worker {worker!r} outside 0..{par.worker_count - 1}", route=ridx)
+            )
+        elif worker in workers:
+            problems.append(
+                Violation("worker_id", f"worker {worker} also runs route {workers[worker]}", route=ridx)
+            )
+        else:
+            workers[worker] = ridx
         for visit in route.visits:
             if visit.request_id in seen:
                 problems.append(

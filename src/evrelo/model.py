@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -50,8 +50,11 @@ def parameter_violations(p):
     # Handling times may be zero (instant swap), never negative.
     bad += [f"parameters.{name} must be non-negative, got {values[name]}"
             for name in ("park_time", "load_time", "worker_cost") if values[name] < 0]
-    if values["worker_count"] < 1:
-        bad.append(f"parameters.worker_count must be at least 1, got {values['worker_count']}")
+    count = values["worker_count"]
+    if isinstance(count, bool) or not isinstance(count, int):
+        bad.append(f"parameters.worker_count must be an integer, got {count!r}")
+    elif count < 1:
+        bad.append(f"parameters.worker_count must be at least 1, got {count}")
     return bad
 
 
@@ -311,10 +314,10 @@ def assemble_solution(routes, instance, optimal=None):
     """Build a consistent Solution record from finished routes.
 
     Requests absent from every route are marked rejected.  Worker ids are
-    reassigned to the route order so dropped routes leave no holes.
+    reassigned to the route order so dropped routes leave no holes.  Revenue
+    is summed from 0.0, so a solution that serves nothing holds the 0.0 that
+    ``io.load_solution`` reads back.
     """
-    from dataclasses import replace
-
     routes = tuple(replace(r, worker=i) for i, r in enumerate(routes))
     served = set()
     for route in routes:
@@ -322,7 +325,7 @@ def assemble_solution(routes, instance, optimal=None):
             if visit.request_id in served:
                 raise ValueError(f"request {visit.request_id} served twice")
             served.add(visit.request_id)
-    revenue = sum(instance.request(rid).revenue for rid in served)
+    revenue = sum((instance.request(rid).revenue for rid in served), 0.0)
     cost = instance.parameters.worker_cost * len(routes)
     rejected = frozenset(r.id for r in instance.requests) - served
     return Solution(
@@ -332,19 +335,6 @@ def assemble_solution(routes, instance, optimal=None):
         total_revenue=revenue,
         worker_cost=cost,
         profit=revenue - cost,
-        optimal=optimal,
-    )
-
-
-def empty_solution(instance, optimal=None):
-    """The solution that serves nothing; profit is zero by definition."""
-    return Solution(
-        routes=(),
-        served=frozenset(),
-        rejected=frozenset(r.id for r in instance.requests),
-        total_revenue=0.0,
-        worker_cost=0.0,
-        profit=0.0,
         optimal=optimal,
     )
 

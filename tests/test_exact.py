@@ -36,7 +36,6 @@ from evrelo.model import (
     RevenueModel,
     Solution,
     assemble_solution,
-    empty_solution,
     objective_value,
 )
 
@@ -179,10 +178,23 @@ def test_oracle_limits_refuse_a_nan_or_negative_budget():
     for budget in (float("nan"), -1.0, float("-inf")):
         with pytest.raises(ValueError, match="time_budget"):
             OracleLimits(time_budget=budget)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="time_budget"):
         OracleLimits(time_budget="60")
     assert OracleLimits(time_budget=0).time_budget == 0
     assert OracleLimits(time_budget=None).time_budget is None
+
+
+def test_oracle_limits_refuse_a_bool_budget():
+    # True would run as a one-second budget.
+    for budget in (True, False):
+        with pytest.raises(ValueError, match="time_budget"):
+            OracleLimits(time_budget=budget)
+
+
+def test_oracle_limits_refuse_a_budget_that_is_no_number():
+    for budget in (b"60", [60.0], 60j, object()):
+        with pytest.raises(ValueError, match="time_budget"):
+            OracleLimits(time_budget=budget)
 
 
 def test_oracle_limits_refuse_a_cap_that_is_no_whole_count():
@@ -921,7 +933,7 @@ def _frozenset_pack(instance, objective, limits):
     pack(0, frozenset(), 0.0, [])
 
     if not best["picks"]:
-        solution = empty_solution(instance, optimal=complete)
+        solution = assemble_solution([], instance, optimal=complete)
     else:
         routes = []
         for j in best["picks"]:

@@ -20,6 +20,7 @@ from evrelo.feasibility import (
     validate_route,
     validate_solution,
 )
+from evrelo.generator import small_instances
 from evrelo.greedy import (
     GreedyPolicy,
     Position,
@@ -38,6 +39,7 @@ from evrelo.model import (
     ScheduledVisit,
     assemble_solution,
 )
+from evrelo.reporting import ALGORITHMS, run_algorithm
 
 
 def _reference_pair(inst):
@@ -484,6 +486,38 @@ def test_validate_empty_solution_ok():
     inst = single_pair_reference()
     sol = assemble_solution([], inst)
     assert validate_solution(sol, inst).ok
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_every_solver_numbers_its_workers_as_the_validator_asks(name):
+    for instance in small_instances(20, seed=0):
+        for objective in ("profit", "requests"):
+            solution, _ = run_algorithm(name, instance, objective)
+            assert validate_solution(solution, instance).ok, (name, objective)
+
+
+def _two_route_solution():
+    """The first CH solution on ``small_instances(20)`` that uses two workers."""
+    for instance in small_instances(20, seed=0):
+        solution = run_ch(instance, objective="requests")
+        if len(solution.routes) >= 2:
+            return solution, instance
+    raise AssertionError("no solution of two routes")
+
+
+@pytest.mark.parametrize("route, worker, reported", [
+    # No worker of the instance's ten.
+    (0, 10, 0), (0, 99, 0), (1, -1, 1), (1, True, 1), (1, 1.0, 1),
+    # The worker of another route: the later of the two is reported.
+    (1, 0, 1), (0, 1, 1),
+])
+def test_validate_solution_checks_worker_ids(route, worker, reported):
+    solution, instance = _two_route_solution()
+    assert instance.parameters.worker_count == 10
+    routes = list(solution.routes)
+    routes[route] = dataclasses.replace(routes[route], worker=worker)
+    result = validate_solution(dataclasses.replace(solution, routes=tuple(routes)), instance)
+    assert [(v.code, v.route) for v in result.violations] == [("worker_id", reported)]
 
 
 def test_validation_result_describe():

@@ -80,6 +80,23 @@ def test_solution_round_trip(tmp_path):
     assert validate_solution(loaded, inst).ok
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_a_solution_that_serves_nothing_keeps_its_bytes(tmp_path, name):
+    # A worker who costs more than every request together: no route pays.
+    for i, instance in enumerate(small_instances(20, seed=0)):
+        unpaid = dataclasses.replace(instance, parameters=dataclasses.replace(
+            instance.parameters, worker_cost=sum(r.revenue for r in instance.requests) + 1.0))
+        for objective in ("profit", "requests"):
+            solution, _ = run_algorithm(name, unpaid, objective)
+            assert type(solution.total_revenue) is float
+            if objective == "profit":
+                assert not solution.routes
+            first, second = tmp_path / f"{i}.{objective}.json", tmp_path / f"{i}.{objective}.again.json"
+            save_solution(solution, first)
+            save_solution(load_solution(first), second)
+            assert second.read_bytes() == first.read_bytes(), (i, objective)
+
+
 def test_a_save_that_fails_to_encode_keeps_the_earlier_file(tmp_path):
     # A numpy integer is no JSON number: the encoder raises, and the file
     # written before keeps its bytes instead of a prefix of the new one.

@@ -20,7 +20,6 @@ from evrelo.model import (
     RouteSchedule,
     ScheduledVisit,
     assemble_solution,
-    empty_solution,
 )
 
 
@@ -87,10 +86,13 @@ def test_travel_time_ev_five_km_at_twenty_five():
 
 def test_empty_solution_profit_zero():
     inst = two_station_instance()
-    sol = empty_solution(inst)
+    sol = assemble_solution([], inst)
     assert sol.profit == 0.0
     assert sol.served == frozenset()
     assert sol.rejected == {1, 2}
+    assert [type(x) for x in (sol.total_revenue, sol.worker_cost, sol.profit)] == [float] * 3
+    assert sol.optimal is None
+    assert assemble_solution([], inst, optimal=True).optimal is True
 
 
 def _route(visit_ids, start=0.0, end=100.0, worker=0):
@@ -155,6 +157,13 @@ def test_parameters_reject_nonpositive_core_values():
         Parameters(worker_cost=-1.0)
     # zero handling times are legal (instant swap)
     Parameters(park_time=0.0, load_time=0.0)
+
+
+@pytest.mark.parametrize("count", [1.5, True, 2.0])
+def test_parameters_refuse_a_worker_count_that_is_no_integer(count):
+    # save_instance would write a file that load_instance refuses.
+    with pytest.raises(ValueError, match="worker_count must be an integer"):
+        Parameters(worker_count=count)
 
 
 def test_request_rejects_inverted_window_and_bad_battery():
